@@ -114,8 +114,8 @@ class FPXDetector(NVBitTool):
     #: Per-member launch state swapped by :meth:`bind_member` (the
     #: ``sites`` registry is *shared*: members run the same plan, so
     #: their loc indices coincide by construction).
-    _MEMBER_STATE_FIELDS = ("gt", "_arrival", "_seen", "_host_counts",
-                            "_num", "notifications")
+    _MEMBER_STATE_FIELDS = ("gt", "_arrival", "_host_counts", "_num",
+                            "notifications")
 
     def __init__(self, config: DetectorConfig | None = None) -> None:
         self.config = config or DetectorConfig()
@@ -126,9 +126,8 @@ class FPXDetector(NVBitTool):
         # itself runs on the device
         self.gt: GlobalTable | None = GlobalTable() \
             if self.config.use_gt and self.config.on_device_check else None
-        #: Record keys in first-arrival order (host side).
-        self._arrival: list[int] = []
-        self._seen: set[int] = set()
+        #: Record key → its first-arrival position (host side).
+        self._arrival: dict[int, int] = {}
         #: Host-side occurrence counts (used when GT is disabled).
         self._host_counts: dict[int, int] = defaultdict(int)
         #: Algorithm 3's per-kernel invocation counters.
@@ -149,15 +148,14 @@ class FPXDetector(NVBitTool):
         return {
             "gt": GlobalTable()
             if self.config.use_gt and self.config.on_device_check else None,
-            "_arrival": [],
-            "_seen": set(),
+            "_arrival": {},
             "_host_counts": defaultdict(int),
             "_num": defaultdict(int),
             "notifications": [],
         }
 
     def bind_member(self, member: int) -> None:
-        """Swap in member ``member``'s state (GT, dedup sets, Algorithm-3
+        """Swap in member ``member``'s state (GT, arrival map, Algorithm-3
         counters, notifications).  The megabatch runtime binds before
         each member's decision poll, deferred replay and channel drain,
         so each member behaves exactly like a launch under its own fresh
@@ -270,16 +268,16 @@ class FPXDetector(NVBitTool):
 
     def _push_records(self, ictx: InjectionCtx, kind_counts: dict[int, int],
                       loc: int, fmt) -> None:
-        # Warp leader: encode ⟨E_exce, E_loc, E_fp⟩ per exceptional thread.
+        # Warp leader: one GT update per ⟨E_exce, E_loc, E_fp⟩ combination,
+        # carrying that kind's lane count.  Kinds ascend and E_exce is
+        # the key's high field, so new records go out in ascending key
+        # order.
         if self.gt is not None:
             ictx.charge(ictx.launch.cost.gt_lookup_cycles * len(kind_counts))
-            thread_keys = np.concatenate([
-                np.full(count,
-                        encode_record(ExceptionKind(code), loc, fmt),
-                        dtype=np.int64)
-                for code, count in kind_counts.items()])
-            for key in self.gt.test_and_set_many(thread_keys):
-                ictx.push_message(("fpx-record", int(key)), RECORD_BYTES)
+            for code, count in kind_counts.items():
+                key = encode_record(ExceptionKind(code), loc, fmt)
+                if self.gt.test_and_set(key, count):
+                    ictx.push_message(("fpx-record", key), RECORD_BYTES)
         else:
             # w/o GT: the leader pushes one record per exceptional thread
             for code, count in kind_counts.items():
@@ -321,10 +319,9 @@ class FPXDetector(NVBitTool):
                     self._note(key)
 
     def _note(self, key: int) -> None:
-        if key in self._seen:
+        if key in self._arrival:
             return
-        self._seen.add(key)
-        self._arrival.append(key)
+        self._arrival[key] = len(self._arrival)
         record = decode_record(key)
         site = self.sites.site(record.loc)
         self.notifications.append(
@@ -356,9 +353,10 @@ class FPXDetector(NVBitTool):
         records: list[DecodedRecord] = []
         occurrences: dict[int, int] = {}
         if self.gt is not None:
+            # arrival order first; keys that never arrived go last
+            last = len(self._arrival)
             keys = sorted(self.gt.recorded_keys(),
-                          key=lambda k: self._arrival.index(k)
-                          if k in self._seen else 1 << 30)
+                          key=lambda k: self._arrival.get(k, last))
             for key in keys:
                 records.append(decode_record(key))
                 occurrences[key] = self.gt.occurrences(key)

@@ -9,11 +9,16 @@ they cross the GPU→CPU channel: the key is the 20-bit packed record
 Besides the occurred flag we also keep an occurrence counter per key —
 the paper notes "a complete record of all exceptions is available in GT
 for detailed analysis after the GPU program terminates".
+
+The 4 MB allocation and its zeroing remain a modeled device cost
+(:attr:`GlobalTable.SIZE_BYTES`, charged once per context as
+``gt_alloc_cycles``).  The host stores only the keys a run touched: a
+key is flagged exactly when it has an entry in one key → count map, so
+creating, scanning and clearing the table cost nothing per untouched
+slot.
 """
 
 from __future__ import annotations
-
-import numpy as np
 
 from .records import DecodedRecord, RECORD_SPACE, decode_record
 
@@ -27,45 +32,34 @@ class GlobalTable:
     SIZE_BYTES = RECORD_SPACE * 4
 
     def __init__(self) -> None:
-        self._flags = np.zeros(RECORD_SPACE, dtype=np.uint32)
-        self._counts = np.zeros(RECORD_SPACE, dtype=np.int64)
+        #: key → occurrence count; present exactly when the flag is set.
+        self._counts: dict[int, int] = {}
 
-    def test_and_set(self, key: int) -> bool:
-        """Record an occurrence; True when this key is new (must be sent)."""
-        self._counts[key] += 1
-        if self._flags[key]:
-            return False
-        self._flags[key] = 1
-        return True
-
-    def test_and_set_many(self, keys: np.ndarray) -> np.ndarray:
-        """Vectorised variant over the warp's per-thread keys.
-
-        Returns the subset of ``keys`` that were new, deduplicated within
-        the batch itself (the warp leader pushes each new combination
-        once, Algorithm 2).
-        """
-        if keys.size == 0:
-            return keys
-        uniq = np.unique(keys)
-        np.add.at(self._counts, keys, 1)
-        new = uniq[self._flags[uniq] == 0]
-        self._flags[new] = 1
-        return new
+    def test_and_set(self, key: int, count: int = 1) -> bool:
+        """Record ``count`` occurrences of ``key``; True when the key is
+        new (its record must be sent)."""
+        if not 0 <= key < RECORD_SPACE:
+            raise IndexError(f"GT key {key} outside [0, {RECORD_SPACE})")
+        prev = self._counts.get(key)
+        if prev is None:
+            self._counts[key] = count
+            return True
+        self._counts[key] = prev + count
+        return False
 
     def seen(self, key: int) -> bool:
-        return bool(self._flags[key])
+        return key in self._counts
 
     def occurrences(self, key: int) -> int:
-        return int(self._counts[key])
+        return self._counts.get(key, 0)
 
     def recorded_keys(self) -> list[int]:
-        """All keys that occurred at least once (post-mortem analysis)."""
-        return [int(k) for k in np.nonzero(self._flags)[0]]
+        """All keys that occurred at least once, ascending (post-mortem
+        analysis)."""
+        return sorted(self._counts)
 
     def recorded(self) -> list[DecodedRecord]:
         return [decode_record(k) for k in self.recorded_keys()]
 
     def clear(self) -> None:
-        self._flags[:] = 0
-        self._counts[:] = 0
+        self._counts.clear()

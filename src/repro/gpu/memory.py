@@ -2,12 +2,16 @@
 
 Global memory is a flat byte-addressable NumPy buffer with a bump
 allocator.  Loads and stores are vectorised gathers/scatters over the 32
-lanes of a warp.  Constant banks model SASS ``c[bank][offset]`` operands;
-kernel parameters conventionally live in bank 0 starting at
-:data:`PARAM_BASE` (0x160), matching real SASS disassembly.
+lanes of a warp.  The buffer is demand-zeroed anonymous memory, so the
+host pays for the pages a run touches, not for the megabytes it models.
+Constant banks model SASS ``c[bank][offset]`` operands; kernel
+parameters conventionally live in bank 0 starting at :data:`PARAM_BASE`
+(0x160), matching real SASS disassembly.
 """
 
 from __future__ import annotations
+
+import mmap
 
 import numpy as np
 
@@ -18,23 +22,42 @@ __all__ = ["GlobalMemory", "MegaGlobalMemory", "MemberGlobalMemory",
 PARAM_BASE = 0x160
 
 
+def _zeroed_bytes(nbytes: int) -> np.ndarray:
+    """``nbytes`` zero bytes backed by demand-zeroed anonymous memory.
+
+    The kernel maps a zero page on first touch, so creating a large
+    buffer costs nothing up front.  ``MAP_PRIVATE`` matters: an
+    anonymous ``mmap`` is ``MAP_SHARED`` by default, and then a forked
+    child's stores would show up in the parent's buffer.
+    """
+    return np.frombuffer(
+        mmap.mmap(-1, nbytes, flags=mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS),
+        dtype=np.uint8)
+
+
 class GlobalMemory:
     """Flat global memory with a bump allocator.
 
     Addresses are 32-bit byte addresses.  Word accesses must be naturally
-    aligned; misalignment raises, as real GPUs fault.
+    aligned; misalignment raises, as real GPUs fault.  Bounds checks cover
+    the whole buffer, not the allocations: an access past the allocator
+    pointer succeeds silently (:meth:`restore` and :meth:`reset` still
+    clear what it stored), and only an address beyond ``size`` faults.
     """
 
     def __init__(self, size_bytes: int = 1 << 24) -> None:
         # round up to a word multiple so the u32 view spans the buffer
         self.size = (int(size_bytes) + 3) // 4 * 4
-        self._buf = np.zeros(self.size, dtype=np.uint8)
+        self._buf = _zeroed_bytes(self.size)
         #: Word-aligned alias of ``_buf`` (same storage): since word
         #: accesses must be naturally aligned anyway, gathers/scatters
         #: index this view directly instead of assembling four byte
         #: lanes per word.  Assumes a little-endian host.
         self._buf32 = self._buf.view(np.uint32)
         self._next = 256  # keep address 0 unmapped to catch null derefs
+        #: One past the highest byte ever written: every byte from here
+        #: on is still zero, so resets zero only ``[0, _written_end)``.
+        self._written_end = 0
         #: Statistics used by tests and the cost model.
         self.load_count = 0
         self.store_count = 0
@@ -50,30 +73,38 @@ class GlobalMemory:
 
     def reset(self) -> None:
         """Release all allocations and zero the buffer."""
-        self._buf[:] = 0
+        self._buf[:self._written_end] = 0
+        self._written_end = 0
         self._next = 256
         self.load_count = 0
         self.store_count = 0
 
+    def _image_end(self) -> int:
+        """End of the prefix that holds every allocation and every byte
+        ever written; the buffer is all zero from here on."""
+        return max(self._next, self._written_end)
+
     # -- state snapshot (build-once / run-many) ------------------------------
 
     def snapshot(self) -> tuple:
-        """Freeze the allocated prefix and allocator state.
+        """Freeze the memory image and allocator state.
 
-        Only ``[0, _next)`` can hold data (accesses outside allocations
-        fault), so the snapshot copies just that prefix — cheap even
-        though the backing buffer is megabytes.
+        Every byte past :meth:`_image_end` is zero, so the snapshot copies
+        just that prefix — cheap even though the backing buffer is
+        megabytes.
         """
-        return (self._buf[:self._next].copy(), self._next,
+        return (self._buf[:self._image_end()].copy(), self._next,
                 self.load_count, self.store_count)
 
     def restore(self, state: tuple) -> None:
         """Return to a :meth:`snapshot`'s exact memory and allocator
-        state (anything allocated since is zeroed and released)."""
+        state (anything allocated or written since is zeroed and
+        released, including stores past the allocator pointer)."""
         prefix, nxt, loads, stores = state
-        if self._next > nxt:
-            self._buf[nxt:self._next] = 0
-        self._buf[:nxt] = prefix
+        if self._written_end > prefix.size:
+            self._buf[prefix.size:self._written_end] = 0
+        self._buf[:prefix.size] = prefix
+        self._written_end = prefix.size
         self._next = nxt
         self.load_count = loads
         self.store_count = stores
@@ -85,6 +116,7 @@ class GlobalMemory:
         raw = np.ascontiguousarray(arr).view(np.uint8).ravel()
         self._check(addr, raw.nbytes)
         self._buf[addr:addr + raw.nbytes] = raw
+        self._written_end = max(self._written_end, addr + raw.nbytes)
 
     def read_array(self, addr: int, dtype: np.dtype, count: int) -> np.ndarray:
         """Read ``count`` items of ``dtype`` from ``addr`` into a host array."""
@@ -111,8 +143,9 @@ class GlobalMemory:
         a = addrs[mask].astype(np.int64)
         if not a.size:
             return
-        self._check_vec(a, 4)
+        end = self._check_vec(a, 4)
         self._buf32[a >> 2] = values[mask].astype(np.uint32)
+        self._written_end = max(self._written_end, end)
         self.store_count += a.size
 
     def load_u64(self, addrs: np.ndarray, mask: np.ndarray
@@ -133,15 +166,16 @@ class GlobalMemory:
             raise IndexError(f"global memory access out of bounds: "
                              f"addr={addr:#x} nbytes={nbytes}")
 
-    def _check_vec(self, addrs: np.ndarray, width: int) -> None:
-        if addrs.size == 0:
-            return
+    def _check_vec(self, addrs: np.ndarray, width: int) -> int:
+        """Check a non-empty address vector; returns one past the
+        highest byte it touches."""
         lo, hi = int(addrs.min()), int(addrs.max())
         if lo < 0 or hi + width > self.size:
             raise IndexError(f"global memory access out of bounds: "
                              f"[{lo:#x}, {hi:#x}]")
         if (addrs % width).any():
             raise ValueError("misaligned global memory access")
+        return hi + width
 
 
 class MegaGlobalMemory:
@@ -152,8 +186,9 @@ class MegaGlobalMemory:
     it would have used on the template device (identical pointer params
     across members are the common case), and this class maps member m's
     address ``a`` to ``m * member_size + a`` in the packed buffer.  The
-    template device's allocated prefix is replicated into every
-    partition, so a member sees exactly the memory image a fresh serial
+    template device's nonzero prefix (its allocations and every byte
+    written) is replicated into every partition of a demand-zeroed
+    buffer, so a member sees exactly the memory image a fresh serial
     launch would have seen.  Bounds and alignment are checked on the
     member-local addresses — the partition boundary faults exactly where
     the template device would have.
@@ -174,9 +209,9 @@ class MegaGlobalMemory:
             raise MemoryError(
                 f"megabatch address space exceeds 32 bits: "
                 f"{members} x {self.member_size} bytes")
-        self._buf = np.zeros(total, dtype=np.uint8)
+        self._buf = _zeroed_bytes(total)
         self._buf32 = self._buf.view(np.uint32)
-        prefix = template._buf[:template._next]
+        prefix = template._buf[:template._image_end()]
         for m in range(members):
             base = m * self.member_size
             self._buf[base:base + prefix.size] = prefix

@@ -237,8 +237,6 @@ def _pool_worker_main(conn, req_name: str, rep_name: str,
                      name="repro-pool-reader").start()
 
     def ship(tid: int, payload: tuple) -> None:
-        meta = {"warm_builds": _WORKER_STATS["warm_builds"],
-                "warm_decodes": _warm_decode_hits()}
         try:
             parts = encode_parts(payload)
         except Exception:
@@ -251,12 +249,16 @@ def _pool_worker_main(conn, req_name: str, rep_name: str,
                        payload[2], payload[3], payload[4])
             parts = encode_parts(payload)
         desc = rep.write(*parts)
-        if desc is not None:
-            send(("result", tid, desc, None, state["req_consumed"], meta))
-        else:
-            # Payload outgrew the arena: ship it inline instead.
-            send(("result", tid, None, pickle.dumps(payload, protocol=5),
-                  state["req_consumed"], meta))
+        # A payload that outgrew the arena ships inline instead.
+        inline = None if desc is not None \
+            else pickle.dumps(payload, protocol=5)
+        # The reply arena's counters live on this side of the pipe, so
+        # they travel home with the result.
+        meta = {"warm_builds": _WORKER_STATS["warm_builds"],
+                "warm_decodes": _warm_decode_hits(),
+                "reply_bytes": rep.bytes_shipped,
+                "reply_fallbacks": rep.fallbacks}
+        send(("result", tid, desc, inline, state["req_consumed"], meta))
 
     while True:
         with cond:
@@ -303,7 +305,8 @@ class _PoolWorker:
         self.deadline: float | None = None
         self.steal_pending = False
         self.tasks_done = 0
-        self.meta = {"warm_builds": 0, "warm_decodes": 0}
+        self.meta = {"warm_builds": 0, "warm_decodes": 0,
+                     "reply_bytes": 0, "reply_fallbacks": 0}
 
     @property
     def pid(self) -> int:
@@ -312,6 +315,17 @@ class _PoolWorker:
     @property
     def load(self) -> int:
         return (self.running is not None) + len(self.queued)
+
+    @property
+    def arena_bytes(self) -> int:
+        """Payload bytes both arenas carried.  Request counts live here;
+        reply counts live in the worker and arrive with each result."""
+        return self.req.bytes_shipped + self.meta["reply_bytes"]
+
+    @property
+    def inline_fallbacks(self) -> int:
+        """Payloads in either direction that outgrew an arena."""
+        return self.req.fallbacks + self.meta["reply_fallbacks"]
 
     def destroy(self, *, kill: bool = False) -> None:
         """Stop the process and release pipe + arenas."""
@@ -396,7 +410,7 @@ class WorkerPool:
         self.busy = False
         self.sweeps = 0
         self.steals_last_sweep = 0
-        self._inline_fallbacks = 0
+        self._fallbacks_retired = 0
         self._arena_bytes_retired = 0
         self.ensure_workers(jobs)
 
@@ -434,9 +448,9 @@ class WorkerPool:
             warm_decodes=sum(w.meta["warm_decodes"]
                              for w in self._workers),
             arena_bytes=self._arena_bytes_retired + sum(
-                w.req.bytes_shipped + w.rep.bytes_shipped for w in live),
-            inline_fallbacks=self._inline_fallbacks + sum(
-                w.req.fallbacks for w in live))
+                w.arena_bytes for w in live),
+            inline_fallbacks=self._fallbacks_retired + sum(
+                w.inline_fallbacks for w in live))
 
     # -- the sweep loop ----------------------------------------------------
 
@@ -589,8 +603,6 @@ class WorkerPool:
                 if desc is not None:
                     with contextlib.suppress(OSError, ValueError):
                         w.conn.send(("ack", desc["end"]))
-                else:
-                    self._inline_fallbacks += 1
                 w.running = None
                 w.deadline = None
                 w.tasks_done += 1
@@ -612,9 +624,8 @@ class WorkerPool:
             w.queued = []
 
     def _replace(self, w: _PoolWorker) -> None:
-        self._arena_bytes_retired += \
-            w.req.bytes_shipped + w.rep.bytes_shipped
-        self._inline_fallbacks += w.req.fallbacks
+        self._arena_bytes_retired += w.arena_bytes
+        self._fallbacks_retired += w.inline_fallbacks
         slot = self._workers.index(w)
         self._workers[slot] = self._spawn()
 

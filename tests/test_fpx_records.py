@@ -1,6 +1,5 @@
 """Unit + property tests for record encoding (Figure 3) and the GT table."""
 
-import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -72,14 +71,29 @@ class TestGlobalTable:
         assert not gt.test_and_set(42)
         assert gt.occurrences(42) == 2
 
-    def test_vectorised_dedup(self):
+    def test_in_batch_dedup(self):
         gt = GlobalTable()
-        keys = np.array([5, 5, 7, 5, 9], dtype=np.int64)
-        new = gt.test_and_set_many(keys)
-        assert sorted(int(k) for k in new) == [5, 7, 9]
+        keys = [5, 5, 7, 5, 9]
+        assert [k for k in keys if gt.test_and_set(k)] == [5, 7, 9]
         # second batch: nothing new
-        assert gt.test_and_set_many(keys).size == 0
+        assert not any(gt.test_and_set(k) for k in keys)
         assert gt.occurrences(5) == 6
+
+    def test_count_lands_as_one_update(self):
+        """The detector pushes one update per kind carrying its lane
+        count."""
+        gt = GlobalTable()
+        assert gt.test_and_set(7, count=30)
+        assert not gt.test_and_set(7, count=2)
+        assert gt.occurrences(7) == 32
+        assert gt.occurrences(8) == 0
+
+    @pytest.mark.parametrize("key", [-1, RECORD_SPACE])
+    def test_key_outside_table_rejected(self, key):
+        gt = GlobalTable()
+        with pytest.raises(IndexError):
+            gt.test_and_set(key)
+        assert gt.recorded_keys() == []
 
     def test_recorded_keys(self):
         gt = GlobalTable()
@@ -94,17 +108,20 @@ class TestGlobalTable:
         assert gt.recorded_keys() == []
         assert gt.occurrences(3) == 0
 
-    @given(st.lists(st.integers(min_value=0, max_value=RECORD_SPACE - 1),
-                    min_size=1, max_size=200))
-    def test_each_key_reported_new_exactly_once(self, keys):
-        """Detector completeness invariant: across any batch sequence, a
-        key is 'new' exactly once."""
+    @given(st.lists(st.tuples(
+        st.integers(min_value=0, max_value=RECORD_SPACE - 1),
+        st.integers(min_value=1, max_value=32)), min_size=1, max_size=200))
+    def test_each_key_reported_new_exactly_once(self, updates):
+        """Detector completeness invariant: across any update sequence, a
+        key is 'new' exactly once and keeps every occurrence."""
         gt = GlobalTable()
-        new_total = []
-        for i in range(0, len(keys), 7):
-            batch = np.array(keys[i:i + 7], dtype=np.int64)
-            new_total.extend(int(k) for k in gt.test_and_set_many(batch))
-        assert sorted(new_total) == sorted(set(keys))
+        new_total = [k for k, n in updates if gt.test_and_set(k, n)]
+        keys = {k for k, _ in updates}
+        assert sorted(new_total) == sorted(keys)
+        assert gt.recorded_keys() == sorted(keys)
+        for key in keys:
+            assert gt.occurrences(key) == sum(n for k, n in updates
+                                              if k == key)
 
 
 class TestSiteRegistry:

@@ -99,6 +99,15 @@ def _pid():
     return os.getpid()
 
 
+def _blob(nbytes):
+    return b"r" * nbytes
+
+
+def _blob_units(n, nbytes):
+    return [SweepUnit(f"blob/{i}", functools.partial(_blob, nbytes))
+            for i in range(n)]
+
+
 def _units(n):
     return [SweepUnit(f"u/{i}", functools.partial(_value, i))
             for i in range(n)]
@@ -241,6 +250,26 @@ class TestPoolEngine:
         assert snap["gauges"][names.GAUGE_SWEEP_STEALS] >= 1
         assert names.GAUGE_POOL_WORKERS_WARM in snap["gauges"]
         assert snap["gauges"][names.GAUGE_POOL_ARENA_BYTES] > 0
+
+    def test_stats_count_reply_bytes(self):
+        """Reply bytes are counted by the worker that writes them and
+        reach the parent's stats."""
+        with WorkerPool(1) as pool:
+            with use_pool(pool):
+                result = run_sweep(_blob_units(4, 200_000), jobs=1)
+            stats = pool.stats()
+        assert result.engine == "pool"
+        assert stats.arena_bytes >= 4 * 200_000
+        assert stats.inline_fallbacks == 0
+
+    def test_stats_count_inline_replies_once(self):
+        with WorkerPool(1, reply_bytes=64 * 1024) as pool:
+            with use_pool(pool):
+                result = run_sweep(_blob_units(4, 200_000), jobs=1)
+            stats = pool.stats()
+        assert result.values_strict() == [b"r" * 200_000] * 4
+        assert stats.inline_fallbacks == 4
+        assert stats.arena_bytes < 200_000
 
     def test_spawn_start_method_runs_units(self):
         with WorkerPool(2, start_method="spawn") as pool:
