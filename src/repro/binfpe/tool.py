@@ -38,7 +38,7 @@ from ..fpx.records import (
     decode_record,
     encode_record,
 )
-from ..fpx.checks import CLASS_TO_KIND
+from ..fpx.checks import CLASS_TO_KIND, any_exceptional_f32
 from ..fpx.report import ExceptionReport
 
 __all__ = ["BinFPE"]
@@ -113,13 +113,18 @@ class BinFPE(NVBitTool):
     def _record_dest(self, ictx: InjectionCtx) -> None:
         regs, loc, fmt, is_rcp = ictx.args
         mask = ictx.exec_mask
-        lanes = int(mask.sum())
+        lanes = int(np.count_nonzero(mask))
         if lanes == 0:
             return
-        kinds = self._classify(ictx.warp, regs, fmt, is_rcp, mask)
+        if fmt is FPFormat.FP32 and not any_exceptional_f32(
+                ictx.warp.read_u32(regs[0]), mask):
+            counts = {}
+        else:
+            counts = self._exc_counts(
+                self._classify(ictx.warp, regs, fmt, is_rcp, mask))
         # every active thread's value crosses the channel, exceptional or not
-        ictx.push_bulk(("binfpe-values", loc, fmt, self._exc_counts(kinds)),
-                       lanes, VALUE_BYTES)
+        ictx.push_bulk(("binfpe-values", loc, fmt, counts), lanes,
+                       VALUE_BYTES)
 
     def _record_dest_cohort(self, cctx) -> None:
         """Whole-cohort probe: classify once over the stacked view, then
@@ -129,12 +134,15 @@ class BinFPE(NVBitTool):
         lanes = masks.sum(axis=1)
         if not lanes.any():
             return
-        kinds = self._classify(cctx.cohort, regs, fmt, is_rcp, masks)
+        kinds = None
+        if fmt is not FPFormat.FP32 or any_exceptional_f32(
+                cctx.cohort.read_u32(regs[0]), masks):
+            kinds = self._classify(cctx.cohort, regs, fmt, is_rcp, masks)
         for i in range(cctx.n):
             if lanes[i]:
+                counts = {} if kinds is None else self._exc_counts(kinds[i])
                 cctx.defer(i, self._emit_values,
-                           (loc, fmt, self._exc_counts(kinds[i]),
-                            int(lanes[i])))
+                           (loc, fmt, counts, int(lanes[i])))
 
     def _emit_values(self, ictx: InjectionCtx) -> None:
         loc, fmt, exc_counts, lanes = ictx.args

@@ -25,6 +25,7 @@ from ..sass.program import KernelCode
 from ..telemetry import get_telemetry
 from ..telemetry.names import CTR_EXCEPTIONS_PREFIX, EVT_EXCEPTION
 from .checks import (
+    any_exceptional_f32,
     check_16_nan_inf_sub,
     check_32_div0,
     check_32_nan_inf_sub,
@@ -54,6 +55,9 @@ _CHECK_64 = 1
 _CHECK_32_DIV0 = 2
 _CHECK_64_DIV0 = 3
 _CHECK_16 = 4
+
+#: Modes that check one FP32 register (screened before classifying).
+_F32_MODES = (_CHECK_32, _CHECK_32_DIV0)
 
 _FMT_OF_MODE = {
     _CHECK_32: FPFormat.FP32,
@@ -233,6 +237,9 @@ class FPXDetector(NVBitTool):
                                    lanes)
             return
         ictx.charge(ictx.launch.cost.device_check_cycles)
+        if mode in _F32_MODES and not any_exceptional_f32(
+                ictx.warp.read_u32(regs[0]), ictx.exec_mask):
+            return
         e = run_check(mode, ictx.warp, regs)
         e = np.where(ictx.exec_mask, e, np.uint8(0))
         if not e.any():
@@ -258,6 +265,9 @@ class FPXDetector(NVBitTool):
                                 int(lanes[i])))
             return
         cctx.charge_per_warp(cctx.launch.cost.device_check_cycles)
+        if mode in _F32_MODES and not any_exceptional_f32(
+                cctx.cohort.read_u32(regs[0]), masks):
+            return
         e = run_check(mode, cctx.cohort, regs)
         e = np.where(masks, e, np.uint8(0))
         if not e.any():

@@ -157,7 +157,8 @@ def fuse_plan(prog: DecodedProgram,
 
     Returns a new program (the bare decode stays shareable); fusion is a
     cheap O(ops) pass, so re-fusing after a decode-cache hit on the bare
-    program still skips all per-instruction resolution work.
+    program still skips all per-instruction resolution work.  Ops with
+    no injection are the bare program's own (immutable in use) objects.
     """
     before: dict[int, list[Injection]] = {}
     after: dict[int, list[Injection]] = {}
@@ -170,6 +171,7 @@ def fuse_plan(prog: DecodedProgram,
         dataclasses.replace(op,
                             before=tuple(before.get(op.pc, ())),
                             after=tuple(after.get(op.pc, ())))
+        if op.pc in before or op.pc in after else op
         for op in prog.ops)
     cohort_ready = all(
         op.vectorizable and all(inj.cohort_fn is not None
@@ -335,15 +337,13 @@ def _dec_fp32_binary(fn):
         dest = instr.dest_reg()
         if ftz:
             def ex(st, mask):
-                with np.errstate(all="ignore"):
-                    d = fn(a(st), b(st)).astype(np.float32)
+                d = fn(a(st), b(st)).astype(np.float32)
                 st.warp.write_f32(dest, _ftz32(d), mask)
                 return False
         else:
             def ex(st, mask):
-                with np.errstate(all="ignore"):
-                    d = fn(a(st), b(st)).astype(np.float32)
-                st.warp.write_f32(dest, d, mask)
+                st.warp.write_f32(dest, fn(a(st), b(st)).astype(np.float32),
+                                  mask)
                 return False
         return ex
     return dec
@@ -428,9 +428,7 @@ def _dec_fp64_binary(fn):
         dest = instr.dest_reg()
 
         def ex(st, mask):
-            with np.errstate(all="ignore"):
-                d = fn(a(st), b(st))
-            st.warp.write_f64_pair(dest, d, mask)
+            st.warp.write_f64_pair(dest, fn(a(st), b(st)), mask)
             return False
         return ex
     return dec
@@ -463,9 +461,8 @@ def _dec_fp16(fn):
                 lo = (u & np.uint32(0xFFFF)).astype(np.uint16).view(np.float16)
                 hi = (u >> np.uint32(16)).astype(np.uint16).view(np.float16)
                 vals.append((lo, hi))
-            with np.errstate(all="ignore"):
-                lo = fn(*[v[0] for v in vals]).astype(np.float16)
-                hi = fn(*[v[1] for v in vals]).astype(np.float16)
+            lo = fn(*[v[0] for v in vals]).astype(np.float16)
+            hi = fn(*[v[1] for v in vals]).astype(np.float16)
             packed = (lo.view(np.uint16).astype(np.uint32)
                       | (hi.view(np.uint16).astype(np.uint32)
                          << np.uint32(16)))
@@ -505,10 +502,8 @@ def _dec_fmnmx(ctx: _Ctx) -> ExecFn:
     def ex(st, mask):
         sel = st.warp.read_pred(pnum, pneg)
         av, bv = a(st), b(st)
-        with np.errstate(all="ignore"):
-            mn = np.fmin(av, bv)
-            mx = np.fmax(av, bv)
-        st.warp.write_f32(dest, np.where(sel, mn, mx), mask)
+        st.warp.write_f32(dest, np.where(sel, np.fmin(av, bv),
+                                         np.fmax(av, bv)), mask)
         return False
     return ex
 
@@ -611,21 +606,17 @@ def _dec_f2f(ctx: _Ctx) -> ExecFn:
             np.uint16).view(np.float16)
     if dst_w == "F64":
         def ex(st, mask):
-            with np.errstate(all="ignore"):
-                st.warp.write_f64_pair(dest, read(st).astype(np.float64),
-                                       mask)
+            st.warp.write_f64_pair(dest, read(st).astype(np.float64), mask)
             return False
     elif dst_w == "F32":
         def ex(st, mask):
-            with np.errstate(all="ignore"):
-                st.warp.write_f32(dest, read(st).astype(np.float32), mask)
+            st.warp.write_f32(dest, read(st).astype(np.float32), mask)
             return False
     else:
         def ex(st, mask):
-            with np.errstate(all="ignore"):
-                h = read(st).astype(np.float16).view(np.uint16).astype(
-                    np.uint32)
-                st.warp.write_u32(dest, h, mask)
+            h = read(st).astype(np.float16).view(np.uint16).astype(
+                np.uint32)
+            st.warp.write_u32(dest, h, mask)
             return False
     return ex
 
@@ -655,11 +646,9 @@ def _dec_f2i(ctx: _Ctx) -> ExecFn:
     dest = instr.dest_reg()
 
     def ex(st, mask):
-        with np.errstate(all="ignore"):
-            x64 = np.nan_to_num(read(st).astype(np.float64), nan=0.0,
-                                posinf=2**31 - 1, neginf=-(2**31))
-            vals = np.clip(np.trunc(x64), -(2**31), 2**31 - 1).astype(
-                np.int64)
+        x64 = np.nan_to_num(read(st).astype(np.float64), nan=0.0,
+                            posinf=2**31 - 1, neginf=-(2**31))
+        vals = np.clip(np.trunc(x64), -(2**31), 2**31 - 1).astype(np.int64)
         st.warp.write_u32(dest, vals.astype(np.int32).view(np.uint32), mask)
         return False
     return ex
@@ -680,14 +669,14 @@ def _dec_iadd3(ctx: _Ctx) -> ExecFn:
     dest = ctx.instr.dest_reg()
 
     def ex(st, mask):
-        # Out-of-place accumulation: the sum must take whatever shape
-        # the operands have ((32,) per-warp or (n, 32) per-cohort).
-        total = accs[0](st).astype(np.uint64)
+        # Wrapping uint32 sum (the low word of the exact sum).  Out of
+        # place: the sum must take whatever shape the operands have
+        # ((32,) per-warp or (n, 32) per-cohort), and constant sources
+        # are shared vectors.
+        total = accs[0](st)
         for acc in accs[1:]:
             total = total + acc(st)
-        st.warp.write_u32(dest,
-                          (total & np.uint64(0xFFFFFFFF)).astype(np.uint32),
-                          mask)
+        st.warp.write_u32(dest, total, mask)
         return False
     return ex
 
@@ -701,20 +690,29 @@ def _dec_imad(ctx: _Ctx) -> ExecFn:
     dest = instr.dest_reg()
     wide = "WIDE" in instr.modifiers
 
-    def ex(st, mask):
-        av = a(st).astype(np.uint64)
-        bv = b(st).astype(np.uint64)
-        cv = c(st).astype(np.uint64) if c is not None else \
-            np.zeros(WARP_SIZE, dtype=np.uint64)
-        prod = av * bv + cv
-        st.warp.write_u32(dest,
-                          (prod & np.uint64(0xFFFFFFFF)).astype(np.uint32),
-                          mask)
-        if wide:
+    if wide:
+        def ex(st, mask):
+            av = a(st).astype(np.uint64)
+            bv = b(st).astype(np.uint64)
+            prod = av * bv
+            if c is not None:
+                prod = prod + c(st)
+            st.warp.write_u32(dest,
+                              (prod & np.uint64(0xFFFFFFFF)).astype(
+                                  np.uint32), mask)
             st.warp.write_u32(dest + 1,
                               (prod >> np.uint64(32)).astype(np.uint32),
                               mask)
-        return False
+            return False
+    elif c is not None:
+        # Wrapping uint32 multiply-add: the low word of the exact result.
+        def ex(st, mask):
+            st.warp.write_u32(dest, a(st) * b(st) + c(st), mask)
+            return False
+    else:
+        def ex(st, mask):
+            st.warp.write_u32(dest, a(st) * b(st), mask)
+            return False
     return ex
 
 

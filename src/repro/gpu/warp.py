@@ -14,6 +14,14 @@ per-warp code is oblivious to the stacking, while :class:`CohortView`
 exposes the same read/write API over the ``(n_warps, 32)`` planes of any
 subset of warps that share a pc — one gather/scatter per operand instead
 of one per warp.
+
+**The converged fast path.**  Almost every dispatch executes every lane
+of its warp.  The engines then pass one shared, read-only all-lanes
+mask — :data:`FULL_MASK` for a warp, :meth:`WarpSet.full_mask` for an
+``n``-warp cohort — and the write methods store whole rows when they
+see it (an identity test), skipping the masked gather/scatter.  Any
+other mask takes the general path, so code that never special-cases the
+shared mask stays correct: it is an ordinary boolean mask of all-True.
 """
 
 from __future__ import annotations
@@ -25,10 +33,14 @@ import numpy as np
 
 from ..sass.operands import NUM_PREDS, NUM_REGS, PT, RZ
 
-__all__ = ["WARP_SIZE", "FrameKind", "StackFrame", "Warp", "WarpSet",
-           "CohortView"]
+__all__ = ["WARP_SIZE", "FULL_MASK", "FrameKind", "StackFrame", "Warp",
+           "WarpSet", "CohortView"]
 
 WARP_SIZE = 32
+
+#: The shared all-lanes execution mask of one warp (read-only).
+FULL_MASK = np.ones(WARP_SIZE, dtype=bool)
+FULL_MASK.flags.writeable = False
 
 
 class FrameKind(str, enum.Enum):
@@ -71,7 +83,8 @@ class WarpSet:
     per-member accounting and memory routing consult it.
     """
 
-    __slots__ = ("n_warps", "regs", "preds", "members", "member_of")
+    __slots__ = ("n_warps", "regs", "preds", "members", "member_of",
+                 "_full")
 
     def __init__(self, n_warps: int, *, members: int = 1) -> None:
         self.n_warps = n_warps
@@ -85,6 +98,17 @@ class WarpSet:
         per = n_warps // members
         #: ``member_of[i]`` is the member-launch index of warp ``i``.
         self.member_of = np.repeat(np.arange(members, dtype=np.intp), per)
+        self._full: dict[int, np.ndarray] = {}
+
+    def full_mask(self, n: int) -> np.ndarray:
+        """The shared read-only all-lanes mask of an ``n``-warp cohort
+        (one per cohort size, owned by this launch's set)."""
+        mask = self._full.get(n)
+        if mask is None:
+            mask = np.ones((n, WARP_SIZE), dtype=bool)
+            mask.flags.writeable = False
+            self._full[n] = mask
+        return mask
 
     def plane(self, i: int) -> tuple[np.ndarray, np.ndarray]:
         """The (regs, preds) views backing warp ``i``."""
@@ -96,6 +120,11 @@ class Warp:
 
     When ``regs``/``preds`` are given (views into a :class:`WarpSet`)
     the warp aliases that stacked storage instead of allocating its own.
+
+    Invariant: ``active`` is only ever *rebound* (divergence, EXIT and
+    reconvergence assign a fresh array), never mutated in place after
+    construction.  The engines cache a lane count per ``active`` object
+    and test it by identity, so an in-place update would go unseen.
     """
 
     def __init__(self, warp_id: int, block_id: int, first_thread: int,
@@ -140,6 +169,9 @@ class Warp:
         """Write lanes of a register under ``mask`` (RZ writes discard)."""
         if num == RZ:
             return
+        if mask is FULL_MASK:
+            self.regs[num] = values
+            return
         self.regs[num][mask] = values[mask].astype(np.uint32, copy=False)
 
     def read_f32(self, num: int) -> np.ndarray:
@@ -176,6 +208,9 @@ class Warp:
                    mask: np.ndarray) -> None:
         if num == PT:
             return
+        if mask is FULL_MASK:
+            self.preds[num] = values
+            return
         self.preds[num][mask] = values[mask]
 
     # -- divergence ----------------------------------------------------------
@@ -208,13 +243,6 @@ class Warp:
         self.done = True
         return False
 
-    def lanes_exit(self, mask: np.ndarray) -> None:
-        """Mark lanes as exited and unwind if the active set emptied."""
-        self.exited |= mask
-        self.active &= ~mask
-        if not self.active.any():
-            self.pop_to_pending()
-
 
 class CohortView:
     """The :class:`Warp` register API over a stacked warp cohort.
@@ -224,41 +252,50 @@ class CohortView:
     values under an ``(n, 32)`` mask.  A contiguous cohort (the common
     case: all warps at the same pc) resolves to basic-slice views with
     in-place masked writes; a sparse cohort falls back to a
-    gather-modify-scatter round trip.  RZ/PT semantics match the
-    per-warp API: RZ reads zero and discards writes, PT writes discard.
+    gather-modify-scatter round trip.  A write under ``full_mask`` (the
+    set's shared all-lanes mask for this cohort size) stores whole rows
+    instead.  RZ/PT semantics match the per-warp API: RZ reads zero and
+    discards writes, PT writes discard.
     """
 
-    __slots__ = ("wset", "idx", "n", "_regs", "_preds", "_sel", "_dense")
+    __slots__ = ("wset", "idx", "n", "sel", "full_mask", "_regs", "_preds",
+                 "_dense")
 
     def __init__(self, wset: WarpSet, idx: np.ndarray) -> None:
         self.wset = wset
         self.idx = idx
         self.n = len(idx)
+        self.full_mask = wset.full_mask(self.n)
         self._regs = wset.regs
         self._preds = wset.preds
         lo, hi = int(idx[0]), int(idx[-1])
         self._dense = hi - lo + 1 == self.n
-        self._sel = slice(lo, hi + 1) if self._dense else idx
+        #: Axis-0 selector of this cohort's planes: a basic slice when
+        #: the cohort is contiguous, else the index array itself.
+        self.sel = slice(lo, hi + 1) if self._dense else idx
 
     # -- register access ----------------------------------------------------
 
     def read_u32(self, num: int) -> np.ndarray:
         if num == RZ:
             return np.zeros((self.n, WARP_SIZE), dtype=np.uint32)
-        return self._regs[self._sel, num]
+        return self._regs[self.sel, num]
 
     def write_u32(self, num: int, values: np.ndarray,
                   mask: np.ndarray) -> None:
         if num == RZ:
             return
+        if mask is self.full_mask:
+            self._regs[self.sel, num] = values
+            return
         vals = np.broadcast_to(values, mask.shape)[mask].astype(
             np.uint32, copy=False)
         if self._dense:
-            self._regs[self._sel, num][mask] = vals
+            self._regs[self.sel, num][mask] = vals
         else:
-            cur = self._regs[self._sel, num]
+            cur = self._regs[self.sel, num]
             cur[mask] = vals
-            self._regs[self._sel, num] = cur
+            self._regs[self.sel, num] = cur
 
     def read_f32(self, num: int) -> np.ndarray:
         return self.read_u32(num).view(np.float32)
@@ -286,7 +323,7 @@ class CohortView:
                            (bits >> np.uint64(32)).astype(np.uint32), mask)
 
     def read_pred(self, num: int, negated: bool = False) -> np.ndarray:
-        p = self._preds[self._sel, num]
+        p = self._preds[self.sel, num]
         if negated:
             return ~p
         return p.copy() if self._dense else p
@@ -295,10 +332,13 @@ class CohortView:
                    mask: np.ndarray) -> None:
         if num == PT:
             return
+        if mask is self.full_mask:
+            self._preds[self.sel, num] = values
+            return
         vals = np.broadcast_to(values, mask.shape)[mask]
         if self._dense:
-            self._preds[self._sel, num][mask] = vals
+            self._preds[self.sel, num][mask] = vals
         else:
-            cur = self._preds[self._sel, num]
+            cur = self._preds[self.sel, num]
             cur[mask] = vals
-            self._preds[self._sel, num] = cur
+            self._preds[self.sel, num] = cur

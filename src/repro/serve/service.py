@@ -262,18 +262,25 @@ class JobService:
             else:
                 self.telemetry.count(CTR_SERVE_CACHE_MISS)
                 misses.append(job)
-        if not misses:
-            return
-        try:
-            if len(misses) > 1:
+        if len(misses) > 1:
+            try:
                 self._run_kernel_batch(misses)
-            else:
-                self._run_single(misses[0])
-        except Exception as exc:
-            log.exception("job execution failed")
-            for job in misses:
-                if not job.done.is_set():
-                    self._fail(job, exc)
+                return
+            except Exception:
+                # One bad member (say, a kernel that never exits) sinks
+                # the whole stacked pass; rerun its jobs one at a time
+                # so only the offending job fails.
+                log.warning("stacked batch of %d jobs failed; rerunning "
+                            "them one at a time", len(misses),
+                            exc_info=True)
+        for job in misses:
+            if job.done.is_set():
+                continue
+            try:
+                self._run_single(job)
+            except Exception as exc:
+                log.exception("job %s failed", job.id)
+                self._fail(job, exc)
 
     def _finish(self, job: Job, payload: dict, events,
                 snapshot: dict | None = None, *,

@@ -1,4 +1,7 @@
-"""Unit tests for the decode pipeline: caches, plans, fingerprints."""
+"""Unit tests for the decode pipeline: caches, plans, fingerprints,
+integer semantics and fused-plan op sharing."""
+
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -6,11 +9,15 @@ import pytest
 from repro.gpu import Device, FrameKind, LaunchConfig, decode_program, \
     fuse_plan
 from repro.gpu.executor import ExecutionError
-from repro.gpu.warp import StackFrame
+from repro.gpu.warp import FULL_MASK, WARP_SIZE, CohortView, StackFrame, \
+    Warp, WarpSet
+from repro.binfpe import BinFPE
+from repro.fpx import AnalyzerConfig, FPXAnalyzer
 from repro.fpx import DetectorConfig, FPXDetector
 from repro.nvbit import InstrumentationPlan, LaunchSpec, PlannedInjection, \
     SassTracer
 from repro.sass import KernelCode
+from repro.sass.operands import RZ, OperandType
 from repro.telemetry import metrics_snapshot, telemetry_session
 from repro.telemetry.names import CTR_DECODE_CACHE_HIT, \
     CTR_DECODE_CACHE_MISS
@@ -179,3 +186,115 @@ class TestUnknownOpcodeContext:
         assert "no semantics for opcode LOP3" in msg
         assert "pc 1" in msg
         assert "LOP3.LUT R2, R1, R1, RZ" in msg
+
+
+#: Integer edge operands: zero, one, the sign boundary and all-ones.
+_EDGES = np.array([0, 1, 2, 3, 0x7FFFFFFF, 0x80000000, 0x80000001,
+                   0xFFFFFFFE, 0xFFFFFFFF, 0x10000, 0xFFFF, 0x12345678,
+                   0xDEADBEEF, 0x55555555, 0xAAAAAAAA, 0x00010001],
+                  dtype=np.uint32)
+
+
+def _u64_reference(opcode, srcs):
+    """The uint64-then-mask computation the wrapping uint32 one must
+    reproduce (negation already applied to ``srcs``, as ``src_u32``
+    does)."""
+    wide = [s.astype(np.uint64) for s in srcs]
+    if opcode == "IMAD":
+        total = wide[0] * wide[1] + (wide[2] if len(wide) > 2 else 0)
+    else:
+        total = sum(wide[1:], wide[0])
+    return (total & np.uint64(0xFFFFFFFF)).astype(np.uint32)
+
+
+class TestWrappingIntegerOps:
+    """Non-WIDE IMAD and IADD3 compute in wrapping uint32; the low word
+    must equal the uint64 reference on edge operands."""
+
+    @pytest.mark.parametrize("sass", [
+        "IMAD R4, R1, R2, R3 ;",
+        "IMAD R4, -R1, R2, -R3 ;",
+        "IMAD R4, R1, -R2 ;",
+        "IMAD R4, R1, 0xffffffff, R3 ;",
+        "IADD3 R4, R1, R2, R3 ;",
+        "IADD3 R4, -R1, R2, -R3 ;",
+        "IADD3 R4, R1, -0x1, RZ ;",
+        "IADD3 R4, R1, R2 ;",
+    ])
+    def test_low_word_matches_u64_reference(self, sass):
+        code = KernelCode.assemble("k", sass + "\nEXIT ;")
+        op = decode_program(code).ops[0]
+        instr = code.instructions[0]
+        wset = WarpSet(2)
+        n_edges = len(_EDGES)
+        for w in range(2):
+            for r in (1, 2, 3):
+                # every ordered pair of edges meets across rows/lanes
+                wset.regs[w, r] = np.resize(
+                    np.roll(_EDGES, (r - 1) * (w * 2 + 1)), WARP_SIZE)
+        wset.regs[1, 2, n_edges:] = _EDGES[::-1]
+
+        def operands(row):
+            out = []
+            for o in instr.source_operands():
+                if o.type is OperandType.REG:
+                    v = wset.regs[row, o.num].copy() if o.num != RZ \
+                        else np.zeros(WARP_SIZE, dtype=np.uint32)
+                else:
+                    v = np.full(WARP_SIZE, o.ivalue & 0xFFFFFFFF,
+                                dtype=np.uint32)
+                if o.negated:
+                    v = (np.uint32(0) - v).astype(np.uint32)
+                out.append(v)
+            return out
+
+        want = np.stack([_u64_reference(instr.opcode, operands(row))
+                         for row in range(2)])
+        # one warp at a time under the shared mask ...
+        for row in range(2):
+            warp = Warp(row, 0, 0, regs=wset.regs[row].copy(),
+                        preds=wset.preds[row].copy())
+            op.execute(SimpleNamespace(warp=warp), FULL_MASK)
+            assert np.array_equal(warp.regs[4], want[row])
+        # ... and as one two-warp cohort
+        view = CohortView(wset, np.arange(2))
+        op.execute(SimpleNamespace(warp=view), view.full_mask)
+        assert np.array_equal(wset.regs[:, 4], want)
+
+
+class TestFusePlanSharing:
+    """``fuse_plan`` keeps the bare decode's op object at every pc that
+    carries no injection, and its cohort readiness is what each tool's
+    probes allow."""
+
+    @pytest.mark.parametrize("tool, cohort_ready", [
+        (FPXDetector(), True),
+        (BinFPE(), True),
+        (FPXAnalyzer(AnalyzerConfig()), False),
+    ], ids=["detector", "binfpe", "analyzer"])
+    def test_uninjected_ops_are_the_bare_ops(self, tool, cohort_ready):
+        code = KernelCode.assemble("k", KERNEL + HALF_KERNEL)
+        bare = decode_program(code)
+        plan = tool.plan_kernel(code)
+        fused = fuse_plan(bare, plan)
+        injected = {e.pc for e in plan.entries}
+        assert injected and len(injected) < len(bare)
+        for op, bare_op in zip(fused.ops, bare.ops):
+            if op.pc in injected:
+                assert op is not bare_op
+                assert op.before or op.after
+                assert op.execute is bare_op.execute
+            else:
+                assert op is bare_op
+        assert fused.cohort_ready is cohort_ready
+        assert bare.cohort_ready and not any(
+            op.before or op.after for op in bare.ops)
+
+    def test_injection_on_a_serial_only_op_is_not_cohort_ready(self):
+        code = _code()
+        plan = InstrumentationPlan("t", code.name, (
+            PlannedInjection(len(code) - 1, "before", lambda ictx: None,
+                             cohort_fn=lambda cctx: None),))
+        fused = fuse_plan(decode_program(code), plan)
+        assert not fused.cohort_ready
+        assert fused.ops[0] is decode_program(code).ops[0]

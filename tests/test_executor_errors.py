@@ -1,10 +1,16 @@
-"""Executor/memory robustness: malformed programs fail loudly."""
+"""Executor/memory robustness: malformed programs fail loudly, and a
+kernel that never exits stops at the execution budget."""
+
+import time
 
 import numpy as np
 import pytest
 
+from repro.api import EXECUTION_PATHS, Session
+from repro.fpx import FPXDetector
 from repro.gpu import Device, LaunchConfig
-from repro.gpu.executor import ExecutionError
+from repro.gpu.executor import WARP_INSTR_BUDGET, ExecutionError
+from repro.nvbit import LaunchSpec
 from repro.gpu.memory import ConstBanks, GlobalMemory, SharedMemory
 from repro.sass import KernelCode
 
@@ -68,6 +74,62 @@ class TestExecutorErrors:
         """)
         with pytest.raises(IndexError):
             dev._launch_kernel(code, LaunchConfig(1, 32))
+
+
+SPIN = """
+spin:
+    BRA spin ;
+    EXIT ;
+"""
+
+
+def counted_loop(iterations: int) -> str:
+    """A kernel whose every warp runs ``4 * iterations + 4`` warp
+    instructions (4 outside the loop, 4 per iteration)."""
+    return f"""
+        MOV32I R0, {iterations:#x} ;
+        NOP ;
+        NOP ;
+    loop:
+        IADD3 R0, R0, -0x1, RZ ;
+        ISETP.NE.AND P0, PT, R0, RZ, PT ;
+        NOP ;
+    @P0 BRA loop ;
+        EXIT ;
+    """
+
+
+def _run_path(path: str, text: str):
+    """Run ``text`` under a detector on one engine path: two warps (the
+    cohort engine needs more than one), or a two-member batch of
+    one-warp launches for the megabatch path."""
+    code = KernelCode.assemble("k", text)
+    with Session(FPXDetector(), **EXECUTION_PATHS[path]) as session:
+        if path == "megabatch":
+            spec = LaunchSpec(code, LaunchConfig(1, 32))
+            result = session.run_batch([spec, spec])
+            assert result.engine == "megabatch"
+            return [st.warp_instrs for st in result.stats]
+        session.run_schedule([LaunchSpec(code, LaunchConfig(1, 64))])
+        return [session.stats.warp_instrs]
+
+
+class TestExecutionBudget:
+    @pytest.mark.parametrize("path", sorted(EXECUTION_PATHS))
+    def test_kernel_that_never_exits_raises(self, path):
+        start = time.perf_counter()
+        with pytest.raises(ExecutionError, match="execution budget"):
+            _run_path(path, SPIN)
+        assert time.perf_counter() - start < 30.0
+
+    @pytest.mark.parametrize("path", sorted(EXECUTION_PATHS))
+    def test_budget_is_per_warp_and_exact(self, path):
+        full = WARP_INSTR_BUDGET // 4 - 1
+        assert set(_run_path(path, counted_loop(full))) == \
+            {2 * WARP_INSTR_BUDGET if path != "megabatch"
+             else WARP_INSTR_BUDGET}
+        with pytest.raises(ExecutionError, match="execution budget"):
+            _run_path(path, counted_loop(full + 1))
 
 
 class TestMemoryUnits:

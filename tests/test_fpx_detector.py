@@ -272,3 +272,51 @@ class TestFP16Extension:
             EXIT ;
         """, config=DetectorConfig(check_fp16=False))
         assert not det.report().has_exceptions()
+
+
+class TestFP32Screen:
+    """The FP32 probes' one-pass screen flags exactly the lanes the full
+    classification calls NaN, INF or subnormal."""
+
+    @staticmethod
+    def _agrees(bits):
+        from repro.fpx.checks import exceptional_f32
+        from repro.sass.fpenc import INF, NAN, SUB, classify_f32_bits
+
+        codes = classify_f32_bits(bits)
+        want = (codes == NAN) | (codes == INF) | (codes == SUB)
+        return np.array_equal(exceptional_f32(bits), want), int(want.sum())
+
+    def test_every_sign_exponent_mantissa_corner(self):
+        exps = list(range(256))
+        mants = (0, 1, 0x400000, 0x7FFFFF)
+        bits = np.array([(sign << 31) | (exp << 23) | man
+                         for sign in (0, 1) for exp in exps
+                         for man in mants], dtype=np.uint32)
+        ok, flagged = self._agrees(bits)
+        assert ok
+        # exponent 0xFF: 2 signs x 4 mantissas; exponent 0: 2 x 3 nonzero
+        assert flagged == 8 + 6
+
+    def test_random_words(self):
+        rng = np.random.default_rng(14)
+        bits = rng.integers(0, 2 ** 32, size=(64, 32), dtype=np.uint32)
+        # plant every class so the random draw cannot miss one
+        bits[0, :4] = [0x7F800000, 0xFF800001, 0x00000001, 0x80000000]
+        ok, flagged = self._agrees(bits)
+        assert ok and flagged >= 3
+
+    def test_masked_off_lanes_do_not_fire(self):
+        from repro.fpx.checks import any_exceptional_f32
+
+        bits = np.full(32, 0x3F800000, dtype=np.uint32)
+        bits[7] = 0x7FC00000
+        mask = np.ones(32, dtype=bool)
+        assert any_exceptional_f32(bits, mask)
+        mask[7] = False
+        assert not any_exceptional_f32(bits, mask)
+        # the (n, 32) cohort shape
+        rows = np.stack([bits, bits])
+        masks = np.stack([mask, ~mask])
+        assert any_exceptional_f32(rows, masks)
+        assert not any_exceptional_f32(rows, np.stack([mask, mask]))

@@ -255,6 +255,67 @@ class TestBatching:
         assert b.events == solo.events
 
 
+#: Copies its input to its output, unless the input is nonzero: then
+#: every lane spins on one branch forever.
+SPIN_SASS = """
+    S2R R0, SR_TID.X ;
+    IMAD R4, R0, 0x4, RZ ;
+    MOV R6, c[0x0][0x160] ;
+    IADD3 R6, R6, R4, RZ ;
+    LDG R8, [R6] ;
+    ISETP.NE.AND P0, PT, R8, RZ, PT ;
+spin:
+@P0 BRA spin ;
+    MOV R6, c[0x0][0x164] ;
+    IADD3 R6, R6, R4, RZ ;
+    STG R8, [R6] ;
+    EXIT ;
+"""
+
+
+def spin_job(value):
+    job = kernel_job([value] * 32, name="spin")
+    job["kernel"]["sass"] = SPIN_SASS
+    return job
+
+
+class TestBoundedExecution:
+    def test_endless_kernel_fails_and_the_next_job_completes(self):
+        with JobService() as service, \
+                ServeServer(service, port=0) as server:
+            _, resp = _post(server.url + "/v1/jobs", spin_job(ONE32))
+            assert service.job(resp["job"]).wait(60)
+            status, doc = _get(server.url + resp["href"])
+            assert status == 200
+            assert doc["status"] == "failed"
+            assert doc["error"].startswith("ExecutionError: ")
+            assert "execution budget" in doc["error"]
+
+            _, resp = _post(server.url + "/v1/jobs",
+                            kernel_job([ONE32] * 32))
+            assert service.job(resp["job"]).wait(60)
+            status, doc = _get(server.url + resp["href"])
+            assert doc["status"] == "done"
+            assert doc["report"]["outputs"][0] == [0x40000000] * 32
+
+    def test_only_the_endless_member_of_a_stacked_batch_fails(self, caplog):
+        service = JobService()
+        # staged before start(): one stacked batch of two members
+        good = service.submit(spin_job(0))
+        bad = service.submit(spin_job(ONE32))
+        service.start()
+        try:
+            assert good.wait(60) and bad.wait(60)
+        finally:
+            service.shutdown()
+        assert "stacked batch of 2 jobs failed" in caplog.text
+        assert bad.status == "failed"
+        assert bad.error.startswith("ExecutionError: ")
+        assert good.status == "done"
+        assert good.report["outputs"] == [[0] * 32]
+        assert _counter(service, CTR_SERVE_BATCHES) == 0
+
+
 class TestShutdown:
     def test_drain_finishes_inflight_and_queued_jobs(self):
         service = JobService()

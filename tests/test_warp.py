@@ -1,11 +1,17 @@
-"""Warp-state unit tests: registers, predicates, the divergence stack."""
+"""Warp-state unit tests: registers, predicates, the divergence stack,
+and the converged fast path's whole-row writes."""
+
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.gpu.warp import WARP_SIZE, StackFrame, Warp
-from repro.sass.operands import PT, RZ
+from repro.gpu.decode import decode_program
+from repro.gpu.warp import (FULL_MASK, WARP_SIZE, CohortView, StackFrame,
+                            Warp, WarpSet)
+from repro.sass import KernelCode
+from repro.sass.operands import NUM_PREDS, NUM_REGS, PT, RZ
 
 
 def make_warp(active=WARP_SIZE):
@@ -70,9 +76,13 @@ class TestPartialWarp:
         assert w.exited.sum() == 12
 
     def test_partial_warp_exit(self):
+        """EXIT on every active lane finishes a partial warp (its tail
+        lanes were never active)."""
         w = make_warp(active=20)
-        w.lanes_exit(w.active.copy())
+        exit_op = decode_program(KernelCode.assemble("k", "EXIT ;")).ops[0]
+        assert exit_op.execute(SimpleNamespace(warp=w), w.active)
         assert w.done
+        assert w.exited.all()
 
 
 class TestDivergenceStack:
@@ -190,3 +200,91 @@ class TestDivergenceEndToEnd:
         got = dev.read_back(out, np.uint32, WARP_SIZE)
         expect = np.where(mask_arr != 0, 200, 100)
         assert (got == expect).all()
+
+
+# -- the converged fast path ---------------------------------------------------
+
+#: Destinations: an ordinary register, the one below RZ (an f64 pair
+#: there drops its high half into RZ) and RZ itself; for predicates an
+#: ordinary one, the one below PT, and PT.
+_DESTS = (5, RZ - 1, RZ)
+_PRED_DESTS = (1, PT - 1, PT)
+
+
+def _random_planes(n_warps, seed):
+    rng = np.random.default_rng(seed)
+    regs = rng.integers(0, 2 ** 32, size=(n_warps, NUM_REGS, WARP_SIZE),
+                        dtype=np.uint32)
+    preds = rng.random((n_warps, NUM_PREDS, WARP_SIZE)) < 0.5
+    return regs, preds
+
+
+def _write_all(target, dest, pdest, shape, mask):
+    """Every write kind the engines issue, with fixed values."""
+    rng = np.random.default_rng(dest * 31 + pdest)
+    u32 = rng.integers(0, 2 ** 32, size=shape, dtype=np.uint32)
+    target.write_u32(dest, u32, mask)
+    target.write_u32(dest, u32[..., ::-1], mask)
+    target.write_f32(dest, (u32 >> np.uint32(9)).view(np.float32), mask)
+    target.write_f64_pair(dest, rng.standard_normal(shape), mask)
+    target.write_pred(pdest, rng.random(shape) < 0.5, mask)
+    # broadcast values: one 32-lane row for every cohort warp
+    target.write_u32(dest, u32.reshape(-1, WARP_SIZE)[0], mask)
+
+
+class TestFullMaskWrites:
+    """A write under the shared all-lanes mask stores exactly what the
+    same write under a fresh ``np.ones`` mask stores."""
+
+    def test_shared_masks_are_read_only(self):
+        assert not FULL_MASK.flags.writeable
+        assert FULL_MASK.all() and FULL_MASK.shape == (WARP_SIZE,)
+        with pytest.raises(ValueError):
+            FULL_MASK[0] = False
+        wset = WarpSet(4)
+        cohort = wset.full_mask(3)
+        assert not cohort.flags.writeable
+        assert cohort.all() and cohort.shape == (3, WARP_SIZE)
+        with pytest.raises(ValueError):
+            cohort[1, 2] = False
+        # one mask per size, owned by its set
+        assert wset.full_mask(3) is cohort
+        assert WarpSet(4).full_mask(3) is not cohort
+        assert CohortView(wset, np.arange(3)).full_mask is cohort
+
+    @pytest.mark.parametrize("dest", _DESTS)
+    @pytest.mark.parametrize("pdest", _PRED_DESTS)
+    def test_warp(self, dest, pdest):
+        regs, preds = _random_planes(1, seed=dest + pdest)
+        fast = Warp(0, 0, 0, regs=regs[0].copy(), preds=preds[0].copy())
+        slow = Warp(0, 0, 0, regs=regs[0].copy(), preds=preds[0].copy())
+        _write_all(fast, dest, pdest, (WARP_SIZE,), FULL_MASK)
+        _write_all(slow, dest, pdest, (WARP_SIZE,),
+                   np.ones(WARP_SIZE, dtype=bool))
+        assert np.array_equal(fast.regs, slow.regs)
+        assert np.array_equal(fast.preds, slow.preds)
+        assert (fast.read_u32(RZ) == 0).all() and fast.read_pred(PT).all()
+
+    @pytest.mark.parametrize("rows", [[1, 2, 3], [0, 2, 5]],
+                             ids=["dense", "sparse"])
+    @pytest.mark.parametrize("dest", _DESTS)
+    @pytest.mark.parametrize("pdest", _PRED_DESTS)
+    def test_cohort_view(self, rows, dest, pdest):
+        regs, preds = _random_planes(6, seed=dest + pdest + len(rows))
+        sets = []
+        for _ in range(2):
+            wset = WarpSet(6)
+            wset.regs[:] = regs
+            wset.preds[:] = preds
+            sets.append(wset)
+        idx = np.asarray(rows, dtype=np.intp)
+        fast, slow = (CohortView(wset, idx) for wset in sets)
+        assert fast._dense == (rows == [1, 2, 3])
+        shape = (len(rows), WARP_SIZE)
+        _write_all(fast, dest, pdest, shape, fast.full_mask)
+        _write_all(slow, dest, pdest, shape, np.ones(shape, dtype=bool))
+        assert np.array_equal(sets[0].regs, sets[1].regs)
+        assert np.array_equal(sets[0].preds, sets[1].preds)
+        # rows outside the cohort are untouched
+        others = [i for i in range(6) if i not in rows]
+        assert np.array_equal(sets[0].regs[others], regs[others])
