@@ -12,13 +12,13 @@ a cold first sweep (decode/build caches empty) and a warm second sweep
 - on machines with at least 4 cores, ``jobs=4`` (or better) delivers a
   >= 2.5x wall-clock speedup.
 
-Pool spin-up (worker spawn + arena mapping) is recorded as its own
-``warmup_s`` field rather than folded into sweep time, so the numbers
-separate the one-time cost from the steady state.  The measurements
-land in ``results/parallel_sweep.json`` together with the core count
-they were taken on, so a 1-core CI shard records an honest ~1.0x rather
-than a vacuous pass.  ``BENCH_QUICK=1`` shrinks the sweep to 20
-programs; ``BENCH_JOBS=N`` pins the worker count.
+Pool spin-up (worker spawn) is recorded as its own ``warmup_s`` field
+rather than folded into sweep time, so the numbers separate the
+one-time cost from the steady state.  The measurements land in
+``results/parallel_sweep.json`` together with the core count they were
+taken on, so a 1-core CI shard records an honest ~1.0x rather than a
+vacuous pass.  ``BENCH_QUICK=1`` shrinks the sweep to 20 programs (and
+records nothing); ``BENCH_JOBS=N`` pins the worker count.
 """
 
 from __future__ import annotations

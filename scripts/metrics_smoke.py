@@ -18,6 +18,7 @@ Usage: PYTHONPATH=src python scripts/metrics_smoke.py
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 import sys
@@ -28,7 +29,8 @@ import urllib.request
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from repro.harness.parallel import SweepUnit, fork_available, run_sweep
+from repro.harness.parallel import SweepUnit, run_sweep
+from repro.harness.pool import pool_available
 from repro.harness.runner import run_detector
 from repro.telemetry import (
     MetricsServer,
@@ -52,16 +54,21 @@ def _get(url: str) -> str:
         return resp.read().decode("utf-8")
 
 
+def _gated_detector(gate: str) -> int:
+    report, _stats = run_detector(program_by_name("GRAMSCHM"))
+    deadline = time.monotonic() + GATE_TIMEOUT
+    while not os.path.exists(gate):
+        if time.monotonic() > deadline:
+            raise TimeoutError("gate never opened")
+        time.sleep(0.05)
+    return report.total()
+
+
 def _unit(gate: str, index: int):
-    def fn():
-        report, _stats = run_detector(program_by_name("GRAMSCHM"))
-        deadline = time.monotonic() + GATE_TIMEOUT
-        while not os.path.exists(gate):
-            if time.monotonic() > deadline:
-                raise TimeoutError("gate never opened")
-            time.sleep(0.05)
-        return report.total()
-    return SweepUnit(f"smoke/{index}", fn)
+    # A module-level function bound with partial pickles, so the unit
+    # runs on the worker pool.
+    return SweepUnit(f"smoke/{index}", functools.partial(_gated_detector,
+                                                         gate))
 
 
 def _samples(url: str) -> dict:
@@ -70,8 +77,8 @@ def _samples(url: str) -> dict:
 
 
 def main() -> int:
-    if not fork_available():  # pragma: no cover - non-fork CI runners
-        print("fork unavailable; skipping metrics smoke")
+    if not pool_available():  # pragma: no cover - no multiprocessing
+        print("worker pool unavailable; skipping metrics smoke")
         return 0
 
     detector_metric = metric_name("fpx.exceptions.div0") + "_total"
@@ -107,7 +114,9 @@ def main() -> int:
             sweeper.join(timeout=GATE_TIMEOUT)
         assert not sweeper.is_alive(), "sweep hung"
 
-        values = result_box["result"].values_strict()
+        result = result_box["result"]
+        assert result.engine == "pool", result.engine
+        values = result.values_strict()
         assert len(values) == UNITS
 
         # 2. the side routes.

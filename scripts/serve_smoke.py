@@ -106,8 +106,7 @@ def main() -> int:
     batch_metric = metric_name(CTR_SERVE_BATCHES) + "_total"
     done_metric = metric_name(CTR_SERVE_JOBS_COMPLETED) + "_total"
 
-    service = JobService(ServeConfig(workers=0, cache_size=32,
-                                     queue_depth=4))
+    service = JobService(ServeConfig(cache_size=32, queue_depth=4))
     # Stage a deterministic batch before the executor starts: two
     # compatible kernel jobs (different inputs) must stack into one
     # run_batch pass; the duplicate must complete from the cache.

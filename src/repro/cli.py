@@ -12,9 +12,8 @@ Usage::
     python -m repro.cli diagnose PROGRAM [SHARED...]
     python -m repro.cli table {4,5,6,7} [SHARED...]
     python -m repro.cli figure {4,5,6} [SHARED...]
-    python -m repro.cli serve [--port P] [--host H] [--workers N]
-                               [--cache-size C] [--queue-depth D]
-                               [--duration S]
+    python -m repro.cli serve [--port P] [--host H] [--cache-size C]
+                               [--queue-depth D] [--duration S]
     python -m repro.cli telemetry summarize trace.json [SHARED...]
     python -m repro.cli telemetry serve snapshots.jsonl [--port P]
                                [--host H] [--duration S]
@@ -34,7 +33,6 @@ Every subcommand accepts the same SHARED option group::
     --events out.jsonl export a JSONL structured event log
     --metrics          print telemetry counters/histograms afterwards
     --serve-metrics P  serve live /metrics, /healthz, /flight on port P
-    --no-pool          fork-per-sweep workers (no warm worker pool)
     --no-decode-cache  legacy per-instruction interpreter
     --no-warp-batch    serial per-warp engine (no cohort batching)
     --no-megabatch     serial member loop for run_batch (no stacking)
@@ -492,7 +490,7 @@ def cmd_serve(args) -> int:
     import time
     from .serve import JobService, ServeConfig, ServeServer
     service = JobService(ServeConfig(
-        workers=args.workers, cache_size=args.cache_size,
+        cache_size=args.cache_size,
         queue_depth=args.queue_depth)).start()
     server = ServeServer(service, port=args.port, host=args.host).start()
     print(f"# repro serve listening on {server.url}/v1/jobs "
@@ -631,9 +629,6 @@ def shared_parser() -> argparse.ArgumentParser:
                    help="serve live /metrics, /healthz and /flight on "
                         "this port for the command's duration (0 = "
                         "ephemeral; implies an enabled registry)")
-    g.add_argument("--no-pool", action="store_true",
-                   help="disable the persistent warm worker pool and "
-                        "fall back to fork-per-sweep workers")
     g.add_argument("--no-decode-cache", action="store_true",
                    help="bypass the decoded-program cache and run the "
                         "legacy per-instruction interpreter")
@@ -738,8 +733,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "resolved URL is printed)")
     p.add_argument("--host", default="127.0.0.1",
                    help="address to bind (default 127.0.0.1)")
-    p.add_argument("--workers", type=int, default=0,
-                   help="pinned warm worker-pool size (0 = no pool)")
     p.add_argument("--cache-size", type=int, default=64,
                    help="result-cache entries (0 disables caching)")
     p.add_argument("--queue-depth", type=int, default=32,
@@ -824,9 +817,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     configure_logging(args.verbose, args.quiet)
-    if getattr(args, "no_pool", False):
-        from .harness.pool import set_pool_enabled
-        set_pool_enabled(False)
     shadow = _shadow_arg(args)
     if shadow is not None:
         # Process-wide default: subcommands that build Sessions deep in

@@ -36,12 +36,7 @@ import numpy as np
 from ..api import EXECUTION_PATHS, Session
 from ..fpx.detector import FPXDetector
 from ..gpu.device import Device, LaunchConfig
-from ..harness.parallel import (
-    SweepUnit,
-    default_jobs,
-    fork_available,
-    run_sweep,
-)
+from ..harness.parallel import SweepUnit, default_jobs, run_sweep
 from ..nvbit.runtime import LaunchSpec
 from ..sass.program import KernelCode
 from ..telemetry import get_telemetry
@@ -449,14 +444,13 @@ def fuzz(cases: int, seed: int, jobs: int | None = None, *,
     keyed on ``(seed, index)``, so the result is independent of
     ``jobs``.
     """
-    from ..harness.pool import pool_available, pool_enabled
+    from ..harness.pool import pool_available
 
     jobs = default_jobs() if jobs is None else max(1, jobs)
     # The batch units are picklable partials, so the persistent pool can
-    # run them on any start method; only a platform with neither fork
-    # nor a usable pool degrades to jobs=1.
-    if jobs > 1 and not fork_available() \
-            and not (pool_enabled() and pool_available()):
+    # run them on any start method; only a platform without one
+    # degrades to jobs=1.
+    if jobs > 1 and not pool_available():
         jobs = 1  # pragma: no cover - no-multiprocessing platform
     units = [SweepUnit(f"conformance/{seed}/{start}",
                        partial(_batch_unit, seed, start,

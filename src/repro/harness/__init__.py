@@ -23,8 +23,6 @@ from .pool import (
     get_pool,
     install_pool,
     installed_pool,
-    pool_enabled,
-    set_pool_enabled,
     shutdown_pool,
     uninstall_pool,
     use_pool,
@@ -36,12 +34,12 @@ from .runner import (
     measure_slowdowns,
     measure_slowdowns_many,
     measured_counts,
-    registry_key,
     run_analyzer,
     run_baseline,
     run_binfpe,
     run_detector,
 )
+from ..workloads.registry import registry_key
 from .stats import BUCKETS, bucket_label, fraction_below, geomean, \
     histogram_buckets
 from .export import claims_summary, evaluation_to_json, run_full_evaluation
@@ -55,8 +53,7 @@ __all__ = [
     "SweepError", "SweepResult", "SweepUnit", "UnitFailure",
     "UnitOutcome", "default_jobs", "run_sweep",
     "PoolStats", "WorkerPool", "get_pool", "install_pool",
-    "installed_pool", "pool_enabled", "set_pool_enabled",
-    "shutdown_pool", "uninstall_pool", "use_pool",
+    "installed_pool", "shutdown_pool", "uninstall_pool", "use_pool",
     "BuiltProgram", "ProgramSlowdowns", "build_program",
     "measure_slowdowns", "measure_slowdowns_many", "measured_counts",
     "registry_key",

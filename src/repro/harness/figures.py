@@ -142,20 +142,18 @@ def figure5(programs: list[Program], *, cost: CostModel | None = None,
                                               jobs=jobs))
 
 
-def _figure6_base_unit(key: str, options, cost, decode_cache: bool,
-                       warp_batch: bool):
+def _figure6_base_unit(program: Program, options, cost,
+                       decode_cache: bool, warp_batch: bool):
     """Module-level (picklable) baseline cell of the Figure 6 grid."""
-    from ..workloads.registry import program_by_name
     from .runner import run_baseline
-    return run_baseline(program_by_name(key), options=options, cost=cost,
+    return run_baseline(program, options=options, cost=cost,
                         decode_cache=decode_cache, warp_batch=warp_batch)
 
 
-def _figure6_cell_unit(key: str, k: int, options, cost,
+def _figure6_cell_unit(program: Program, k: int, options, cost,
                        decode_cache: bool, warp_batch: bool):
     """Module-level (picklable) detector cell of the Figure 6 grid."""
-    from ..workloads.registry import program_by_name
-    return run_detector(program_by_name(key), options=options, cost=cost,
+    return run_detector(program, options=options, cost=cost,
                         decode_cache=decode_cache, warp_batch=warp_batch,
                         config=DetectorConfig(freq_redn_factor=k))
 
@@ -197,30 +195,13 @@ def figure6(programs: list[Program], *,
     import functools
 
     from .parallel import SweepUnit, run_sweep
-    from .runner import registry_key, run_baseline
 
-    keys = {p.name: registry_key(p) for p in programs}
-    units = []
-    for p in programs:
-        key = keys[p.name]
-        fn = functools.partial(_figure6_base_unit, key, options, cost,
-                               decode_cache, warp_batch) \
-            if key is not None else \
-            (lambda p=p: run_baseline(p, options=options, cost=cost,
-                                      decode_cache=decode_cache,
-                                      warp_batch=warp_batch))
-        units.append(SweepUnit(f"figure6/base/{p.name}", fn))
-    for k in factors:
-        for p in programs:
-            key = keys[p.name]
-            fn = functools.partial(_figure6_cell_unit, key, k, options,
-                                   cost, decode_cache, warp_batch) \
-                if key is not None else \
-                (lambda p=p, k=k: run_detector(
-                    p, options=options, cost=cost,
-                    decode_cache=decode_cache, warp_batch=warp_batch,
-                    config=DetectorConfig(freq_redn_factor=k)))
-            units.append(SweepUnit(f"figure6/k{k}/{p.name}", fn))
+    units = [SweepUnit(f"figure6/base/{p.name}", functools.partial(
+        _figure6_base_unit, p, options, cost, decode_cache, warp_batch))
+        for p in programs]
+    units += [SweepUnit(f"figure6/k{k}/{p.name}", functools.partial(
+        _figure6_cell_unit, p, k, options, cost, decode_cache, warp_batch))
+        for k in factors for p in programs]
     values = run_sweep(units, jobs=jobs).values_strict()
     baselines = dict(zip((p.name for p in programs), values))
 

@@ -1,4 +1,4 @@
-"""Sweep dispatch: serial, persistent pool, or fork-per-sweep fan-out.
+"""Sweep dispatch: in-process serial, or the persistent worker pool.
 
 The paper's headline artifacts (Figures 4-6, Tables 4-7) are sweeps of
 151 workloads under four configurations each — ~600 independent program
@@ -8,26 +8,23 @@ parallel; :func:`run_sweep` shards :class:`SweepUnit` work units across
 worker processes and reduces the results *in unit order*, so tables and
 figures render byte-identically regardless of completion order.
 
-This module is the **dispatch layer** over three engines:
+This module is the **dispatch layer** over two engines:
 
-- **pool** (:mod:`repro.harness.pool`) — the default for multi-job
-  sweeps whose units pickle (module-level functions / partials over
-  plain data).  Workers persist *across* sweeps with warm decode/build
-  caches, payloads travel through shared-memory arenas, idle workers
-  steal queued tasks from loaded ones, and worker telemetry streams
-  into the deterministic unit-order merge as units finish
-  (:class:`repro.telemetry.snapshot.IncrementalMerger`) instead of at
-  an end-of-sweep barrier.  An explicitly installed pool
+- **pool** (:mod:`repro.harness.pool`) — every multi-job sweep whose
+  units pickle (module-level functions / partials over plain data and
+  registered programs).  Workers persist *across* sweeps with warm
+  decode/build caches, tasks and results travel pickled over each
+  worker's pipe, idle workers steal queued tasks from loaded ones, and
+  worker telemetry streams into the deterministic unit-order merge as
+  units finish (:class:`repro.telemetry.snapshot.IncrementalMerger`)
+  instead of at an end-of-sweep barrier.  An explicitly installed pool
   (``Session(pool=...)``, :func:`repro.harness.pool.use_pool`) is used
   even at ``jobs=1``.
-- **fork** — the legacy fork-per-sweep pool, retained for units that
-  carry closures: workers inherit the unit list by fork and look units
-  up by index, so nothing about the unit needs to pickle.
-- **serial** — in-process, no pool, no timeout enforcement; ``jobs<=1``
-  (without an installed pool), nested sweeps inside pool workers, and
-  platforms with neither fork nor a picklable unit list land here.
+- **serial** — in-process, no timeout enforcement: ``jobs<=1`` (without
+  an installed pool), nested sweeps inside pool workers, and sweeps
+  whose units do not pickle (the reason is logged).
 
-Contract points common to both parallel engines:
+Contract points of the pool engine:
 
 - **one pipe per worker** — the parent always knows which unit a worker
   holds, so a worker that dies mid-unit (segfault, ``os._exit``,
@@ -60,33 +57,27 @@ Contract points common to both parallel engines:
   are retracted as their data reaches the real registry through the
   incremental merge, so nothing is double-counted.
 - **interrupt hygiene** — a ``KeyboardInterrupt`` mid-sweep tears the
-  engine down before propagating: workers terminated, shared-memory
-  arenas unlinked, flight spills harvested into diagnostics.
+  pool down before propagating: workers terminated, flight spills
+  harvested into diagnostics.
 """
 
 from __future__ import annotations
 
-import itertools
 import logging
-import multiprocessing
-import multiprocessing.connection
 import os
-import tempfile
+import pickle
 import threading
 import time
 import traceback
-from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Sequence
-
-import pickle
 
 from ..telemetry import (
     get_telemetry,
     snapshot_registry,
     telemetry_session,
 )
-from ..telemetry.flight import load_spill, render_flight
+from ..telemetry.flight import render_flight
 from ..telemetry.names import (
     CTR_SWEEP_RETRIES,
     CTR_SWEEP_UNITS_FAILED,
@@ -113,7 +104,6 @@ __all__ = [
     "SweepError",
     "run_sweep",
     "default_jobs",
-    "fork_available",
 ]
 
 log = logging.getLogger("repro.harness.parallel")
@@ -128,10 +118,11 @@ FAIL_CRASH = "crash"      # the worker process died mid-unit
 class SweepUnit:
     """One schedulable piece of work.
 
-    ``fn`` runs in a worker process and must return a *picklable* value;
-    it may close over anything (programs, configs) because workers
-    inherit it by fork rather than by pickling.  ``key`` is a stable
-    human-readable label used in failure reports and telemetry events.
+    ``fn`` must pickle to run on the pool (a module-level function, or a
+    ``functools.partial`` over plain data and registered programs), and
+    must return a *picklable* value; a sweep with any unit that does not
+    pickle runs in-process.  ``key`` is a stable human-readable label
+    used in failure reports and telemetry events.
     """
 
     key: str
@@ -174,8 +165,8 @@ class SweepResult:
     outcomes: list[UnitOutcome]
     jobs: int
     elapsed: float = 0.0
-    #: Which engine ran the sweep: "serial", "pool" (the persistent
-    #: warm worker pool) or "fork" (legacy fork-per-sweep).
+    #: Which engine ran the sweep: "serial" (in-process) or "pool"
+    #: (the persistent warm worker pool).
     engine: str = "serial"
 
     @property
@@ -211,11 +202,6 @@ class SweepError(RuntimeError):
                     "  " + ln for ln in
                     render_flight(o.flight, limit=5).splitlines())
         super().__init__("\n".join(lines))
-
-
-def fork_available() -> bool:
-    """Whether the fork start method (the fan-out substrate) exists."""
-    return "fork" in multiprocessing.get_all_start_methods()
 
 
 def default_jobs() -> int:
@@ -298,93 +284,7 @@ def _run_unit(unit: SweepUnit, capture_telemetry: bool,
     return ("ok", value, snapshot, time.perf_counter() - t0, None)
 
 
-def _worker_main(conn, units: Sequence[SweepUnit],
-                 capture_telemetry: bool,
-                 spill_path: str | None = None,
-                 push_progress: bool = False) -> None:
-    """Worker loop: receive a unit index, send back its payload."""
-    send_lock = threading.Lock()
-
-    def send(payload: tuple) -> None:
-        # One lock for result and progress sends: pipe writes from the
-        # ticker thread must never interleave with the main reply.
-        with send_lock:
-            conn.send(payload)
-
-    while True:
-        try:
-            msg = conn.recv()
-        except (EOFError, OSError):
-            return
-        if msg is None:
-            return
-        payload = _run_unit(units[msg], capture_telemetry, spill_path,
-                            progress=send if push_progress else None)
-        try:
-            send(payload)
-        except Exception:
-            # e.g. an unpicklable unit result: degrade to a unit error
-            # rather than poisoning the pipe.
-            send(("error",
-                  "sweep unit result could not be pickled:\n"
-                  + traceback.format_exc(),
-                  payload[2], payload[3], payload[4]))
-
-
 # -- parent side -----------------------------------------------------------
-
-
-#: Distinct spill filenames across respawns within one parent process.
-_SPILL_SEQ = itertools.count()
-
-
-class _Worker:
-    """One pool slot: a forked process plus its dedicated pipe."""
-
-    def __init__(self, ctx, units: Sequence[SweepUnit],
-                 capture_telemetry: bool,
-                 spill_dir: str | None = None,
-                 push_progress: bool = False) -> None:
-        self.spill_path = os.path.join(
-            spill_dir, f"flight-{next(_SPILL_SEQ)}.jsonl") \
-            if spill_dir is not None else None
-        self.conn, child = ctx.Pipe(duplex=True)
-        self.proc = ctx.Process(
-            target=_worker_main,
-            args=(child, units, capture_telemetry, self.spill_path,
-                  push_progress),
-            daemon=True, name="repro-sweep-worker")
-        self.proc.start()
-        child.close()
-        self.index: int | None = None   # in-flight unit index
-        self.deadline: float | None = None
-
-    def assign(self, index: int, timeout: float | None) -> None:
-        self.index = index
-        # ``timeout is not None`` (not truthiness): 0 is a real deadline
-        # that is already expired, not "no deadline".
-        self.deadline = (time.monotonic() + timeout) \
-            if timeout is not None else None
-        self.conn.send(index)
-
-    def release(self) -> None:
-        self.index = None
-        self.deadline = None
-
-    def shutdown(self, *, kill: bool = False) -> None:
-        try:
-            if kill:
-                self.proc.terminate()
-            else:
-                self.conn.send(None)
-        except (OSError, ValueError):
-            pass
-        finally:
-            self.conn.close()
-        self.proc.join(timeout=5.0)
-        if self.proc.is_alive():  # pragma: no cover - stubborn child
-            self.proc.kill()
-            self.proc.join(timeout=5.0)
 
 
 def run_sweep(units: Sequence[SweepUnit], *, jobs: int | None = None,
@@ -403,12 +303,11 @@ def run_sweep(units: Sequence[SweepUnit], *, jobs: int | None = None,
     (:mod:`repro.harness.pool`) — the process-wide pool by default, or
     ``pool=`` / an installed pool (``Session(pool=...)``,
     :func:`repro.harness.pool.use_pool`), which is honoured even at
-    ``jobs=1`` so pool overhead can be measured.  Units carrying
-    closures fall back to the legacy **fork**-per-sweep pool.
-    ``jobs=None`` means :func:`default_jobs`; ``jobs<=1`` with no
-    installed pool, a single unit, or a platform with neither ``fork``
-    nor picklable units takes the in-process **serial** path (no pool,
-    no timeout enforcement — the legacy behaviour).
+    ``jobs=1`` so pool overhead can be measured.  ``jobs=None`` means
+    :func:`default_jobs`; ``jobs<=1`` with no installed pool, a single
+    unit, a nested sweep inside a pool worker, or any unit that does
+    not pickle takes the in-process **serial** path (no timeout
+    enforcement).
 
     ``timeout`` is a per-unit deadline in seconds; ``None`` disables it,
     ``0`` means "already expired" (every pooled unit times out — useful
@@ -435,26 +334,27 @@ def run_sweep(units: Sequence[SweepUnit], *, jobs: int | None = None,
     return result
 
 
-def _pickle_units(units: list[SweepUnit]) -> list[bytes] | None:
-    """Pickle every unit as a ``(key, fn)`` task blob, or ``None``.
+def _pickle_units(units: list[SweepUnit]) -> tuple[list[bytes], str]:
+    """Pickle every unit as a ``(key, fn)`` task blob.
 
-    The probe is the single gate between the persistent pool (tasks
-    travel by pickle through shared-memory arenas) and the legacy fork
-    path (units inherited by fork, closures welcome).
+    Returns ``(blobs, "")``, or ``([], reason)`` naming the first unit
+    that does not pickle — the one gate between the pool and the
+    in-process path.
     """
     blobs = []
     for unit in units:
         try:
             blobs.append(pickle.dumps((unit.key, unit.fn), protocol=5))
-        except Exception:
-            return None
-    return blobs
+        except Exception as exc:
+            return [], (f"unit {unit.key!r} does not pickle "
+                        f"({type(exc).__name__}: {exc})")
+    return blobs, ""
 
 
 def _select_engine(units: list[SweepUnit], jobs: int,
                    timeout: float | None, retries: int, on_outcome,
                    pool) -> tuple[str, Callable[[], SweepResult]]:
-    """Pick serial / pool / fork for this sweep; returns (name, runner)."""
+    """Pick serial / pool for this sweep; returns (name, runner)."""
     from . import pool as pool_mod
 
     def serial() -> SweepResult:
@@ -467,29 +367,18 @@ def _select_engine(units: list[SweepUnit], jobs: int,
     explicit = pool if pool is not None else pool_mod.installed_pool()
     if explicit is not None and explicit.closed:
         explicit = None
-    if units and pool_mod.pool_enabled() \
-            and (jobs > 1 or explicit is not None):
-        blobs = _pickle_units(units)
-        if blobs is None:
-            if explicit is not None:
-                log.info("sweep units carry closures; falling back from "
-                         "the persistent pool")
-        else:
-            p = explicit if explicit is not None \
-                else pool_mod.get_pool(jobs)
-            if not p.busy:  # re-entrant run_sweep (on_outcome): fall back
-                p.ensure_workers(jobs)
-                return "pool", lambda: _run_pooled(
-                    p, units, blobs, jobs, timeout, retries, on_outcome)
-    if jobs <= 1:
+    if not units or (jobs <= 1 and explicit is None):
         return "serial", serial
-    if fork_available():
-        return "fork", lambda: _run_pool(units, jobs, timeout, retries,
-                                         on_outcome)
-    # No fork, and the units cannot ship to spawn workers either: the
-    # only honest option left is in-process.  Loudly, not silently.
-    log.warning("fork unavailable and sweep units are not picklable; "
-                "running sweep serially")  # pragma: no cover - non-fork OS
+    blobs, reason = _pickle_units(units)
+    if not reason:
+        p = explicit if explicit is not None else pool_mod.get_pool(jobs)
+        if not p.busy:
+            p.ensure_workers(jobs)
+            return "pool", lambda: _run_pooled(
+                p, units, blobs, jobs, timeout, retries, on_outcome)
+        reason = "the pool is already running a sweep (re-entrant call)"
+    log.info("running %d sweep unit(s) in-process: %s", len(units),
+             reason)
     return "serial", serial
 
 
@@ -536,13 +425,12 @@ def _run_serial(units: list[SweepUnit], retries: int,
 
 
 class _Collector:
-    """The engine-agnostic half of a parallel sweep.
+    """The scheduling-free half of a pooled sweep.
 
     Owns outcomes, retry budgets, live ``/metrics`` publication and the
-    deterministic unit-order telemetry merge; the engines (the
-    persistent pool's ``run_units`` loop and the legacy fork loop) own
-    workers, pipes, deadlines and scheduling, and report attempts in
-    through :meth:`begin_attempt` / :meth:`finish` /
+    deterministic unit-order telemetry merge; the pool's ``run_units``
+    loop owns workers, pipes, deadlines and scheduling, and reports
+    attempts in through :meth:`begin_attempt` / :meth:`finish` /
     :meth:`attempt_failed`.
 
     Worker snapshots stream into the parent registry through an
@@ -659,9 +547,9 @@ class _Collector:
         if self._on_outcome is not None:
             self._on_outcome(outcome)
 
-    def result(self, jobs: int, engine: str) -> SweepResult:
+    def result(self, jobs: int) -> SweepResult:
         return SweepResult([o for o in self.outcomes if o is not None],
-                           jobs=jobs, engine=engine)
+                           jobs=jobs, engine="pool")
 
     def close(self) -> None:
         """Whatever happened, leave no live contributions behind: the
@@ -686,8 +574,8 @@ def _run_pooled(p, units: list[SweepUnit], blobs: list[bytes], jobs: int,
                     push=collector.push)
     except BaseException:
         # SIGINT or any parent-side failure mid-sweep: tear the pool
-        # down — workers terminated, arenas unlinked, spill files
-        # harvested into diagnostics — before propagating.
+        # down — workers terminated, spill files harvested into
+        # diagnostics — before propagating.
         pool_mod.abort_pool(p)
         raise
     finally:
@@ -698,109 +586,4 @@ def _run_pooled(p, units: list[SweepUnit], blobs: list[bytes], jobs: int,
         tel.gauge(GAUGE_SWEEP_STEALS, p.steals_last_sweep)
         tel.gauge(GAUGE_POOL_WORKERS_WARM, warm)
         tel.gauge(GAUGE_POOL_ARENA_BYTES, stats.arena_bytes)
-    return collector.result(jobs, "pool")
-
-
-def _run_pool(units: list[SweepUnit], jobs: int, timeout: float | None,
-              retries: int, on_outcome) -> SweepResult:
-    """The legacy fork-per-sweep engine (closure-carrying units)."""
-    ctx = multiprocessing.get_context("fork")
-    collector = _Collector(units, retries, on_outcome)
-    capture, push = collector.capture, collector.push
-    pending: deque[int] = deque(range(len(units)))
-
-    def spawn(spill_dir: str) -> _Worker:
-        return _Worker(ctx, units, capture, spill_dir, push)
-
-    try:
-        with tempfile.TemporaryDirectory(
-                prefix="repro-sweep-flight-") as spill_dir:
-            workers = [spawn(spill_dir) for _ in range(jobs)]
-            try:
-                while collector.done < len(units):
-                    for worker in workers:
-                        if worker.index is None and pending:
-                            index = pending.popleft()
-                            collector.begin_attempt(index)
-                            worker.assign(index, timeout)
-                    collector.publish_parent(
-                        sum(1 for w in workers if w.index is not None))
-                    busy = [w for w in workers if w.index is not None]
-                    if not busy:  # pragma: no cover - defensive
-                        break
-                    wait_for = None
-                    now = time.monotonic()
-                    deadlines = [w.deadline for w in busy
-                                 if w.deadline is not None]
-                    if deadlines:
-                        wait_for = max(0.0, min(deadlines) - now)
-                    ready = multiprocessing.connection.wait(
-                        [w.conn for w in busy], timeout=wait_for)
-                    by_conn = {w.conn: w for w in busy}
-                    for conn in ready:
-                        worker = by_conn[conn]
-                        index = worker.index
-                        try:
-                            payload = conn.recv()
-                        except (EOFError, OSError):
-                            # The worker died between taking the unit and
-                            # replying: attribute the crash to that unit,
-                            # and tail its flight spill — the ring's
-                            # on-disk mirror survives even a SIGKILL.
-                            code = worker.proc.exitcode
-                            flight = load_spill(worker.spill_path) \
-                                if worker.spill_path else []
-                            collector.retract_worker(worker.proc.pid)
-                            worker.release()
-                            worker.shutdown(kill=True)
-                            if collector.attempt_failed(
-                                    index, FAIL_CRASH,
-                                    f"worker process died mid-unit "
-                                    f"(exit code {code})", flight=flight):
-                                pending.append(index)
-                            workers[workers.index(worker)] = \
-                                spawn(spill_dir)
-                            continue
-                        if payload[0] == "progress":
-                            # Mid-unit snapshot: publish as this
-                            # worker's live contribution; the worker is
-                            # still busy.
-                            collector.publish_worker(
-                                worker.proc.pid, payload[1])
-                            continue
-                        status, value, snapshot, duration, flight = payload
-                        collector.retract_worker(worker.proc.pid)
-                        worker.release()
-                        if status == "ok":
-                            collector.finish(index, ok=True, value=value,
-                                             snapshot=snapshot,
-                                             duration=duration)
-                        elif collector.attempt_failed(
-                                index, FAIL_ERROR, value,
-                                snapshot=snapshot, duration=duration,
-                                flight=flight):
-                            pending.append(index)
-                    # Deadline scan: terminate overdue workers, fail
-                    # their units (shipping the spilled flight ring).
-                    now = time.monotonic()
-                    for slot, worker in enumerate(workers):
-                        if worker.index is None or worker.deadline is None \
-                                or now < worker.deadline:
-                            continue
-                        index = worker.index
-                        collector.retract_worker(worker.proc.pid)
-                        worker.release()
-                        worker.shutdown(kill=True)
-                        flight = load_spill(worker.spill_path) \
-                            if worker.spill_path else []
-                        collector.attempt_failed(
-                            index, FAIL_TIMEOUT,
-                            f"unit exceeded its {timeout:g}s timeout",
-                            flight=flight)
-                        workers[slot] = spawn(spill_dir)
-            finally:
-                for worker in workers:
-                    worker.shutdown(kill=worker.index is not None)
-        return collector.result(jobs, "fork")
-    finally:
-        collector.close()
+    return collector.result(jobs)

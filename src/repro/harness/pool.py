@@ -1,10 +1,7 @@
 """Persistent, warm, work-stealing worker pool for the sweep engine.
 
-:mod:`repro.harness.parallel` forked a fresh pool for every
-``run_sweep`` call, so each of the ~10 sweeps in a full evaluation paid
-process startup and re-decoded every kernel from scratch — the recorded
-0.93x "speedup" on the 1-core bench box was pure harness overhead.  This
-module owns worker processes that *outlive* sweeps:
+Worker processes *outlive* sweeps, so the ~10 sweeps in a full
+evaluation pay process startup once and reuse every decoded kernel:
 
 - **warm caches.**  Workers keep a process-wide bare-decode store
   (:mod:`repro.nvbit.runtime`) and a :func:`warm_build` cache of
@@ -14,34 +11,32 @@ module owns worker processes that *outlive* sweeps:
   state restored to the post-build snapshot), so unit telemetry stays a
   pure function of the unit and jobs=1/2/4 renders remain
   byte-identical.
-- **shared-memory arenas.**  Task blobs and result payloads travel
-  through per-worker :class:`~repro.harness.arena.SharedArena` rings;
-  only descriptors cross the pipes.  Payloads that outgrow an arena
-  fall back to inline pipe sends, counted but never dropped.
+- **one pipe per worker.**  Task blobs go down and result payloads come
+  back pickled over the worker's duplex pipe, alongside the control
+  messages (start, steal, progress).  The pool counts the payload bytes
+  in both directions (:attr:`PoolStats.arena_bytes`).
 - **work stealing.**  Each worker prefetches up to
   :data:`PREFETCH_DEPTH` tasks into a local deque; when the global
   queue drains and a worker goes idle, the parent steals queued (never
   started) tasks back from the most-loaded worker and reassigns them,
   so one long-tail unit (myocyte) stops gating the sweep.
-- **same failure contract as the fork pool.**  Per-unit deadlines kill
-  and respawn the worker (fresh arenas, fresh spill file); crashes are
-  attributed to the running unit with the flight-recorder spill tailed
-  into diagnostics; queued-but-unstarted tasks are requeued without
-  burning a retry.
+- **failure contract.**  Per-unit deadlines kill and respawn the worker
+  (fresh spill file); crashes are attributed to the running unit with
+  the flight-recorder spill tailed into diagnostics; queued-but-unstarted
+  tasks are requeued without burning a retry.
 
 Tasks must be *picklable* (module-level functions / ``functools.partial``
-over plain data) — :func:`repro.harness.parallel.run_sweep` probes each
-unit and routes closure-carrying sweeps to the legacy fork-per-sweep
-path instead.  Because pickling is the only coupling, the pool also
-works under the ``spawn`` start method (no-``fork`` platforms get a real
-parallel path instead of the old warn-and-go-serial downgrade).
+over plain data and registered programs) —
+:func:`repro.harness.parallel.run_sweep` probes each unit and runs a
+sweep that does not pickle in-process instead.  Because pickling is the
+only coupling, the pool works under both the ``fork`` and the ``spawn``
+start method.
 
 Module-level lifecycle: :func:`get_pool` returns the process-wide pool
 (created on first use, grown on demand, shut down at interpreter exit);
 :func:`install_pool`/:func:`use_pool` pin an explicit pool for a scope
 (``Session(pool=...)`` uses this); :func:`abort_pool` is the SIGINT
-path — terminate workers, harvest flight spills into diagnostics,
-unlink every shared-memory segment.
+path — terminate workers, harvest flight spills into diagnostics.
 """
 
 from __future__ import annotations
@@ -62,13 +57,6 @@ import traceback
 from collections import OrderedDict, deque
 
 from ..telemetry.flight import load_spill, render_flight
-from .arena import (
-    DEFAULT_REPLY_BYTES,
-    DEFAULT_REQUEST_BYTES,
-    SharedArena,
-    decode_parts,
-    encode_parts,
-)
 
 __all__ = [
     "WorkerPool",
@@ -80,8 +68,6 @@ __all__ = [
     "installed_pool",
     "use_pool",
     "abort_pool",
-    "pool_enabled",
-    "set_pool_enabled",
     "pool_available",
     "in_worker",
     "warm_build",
@@ -167,32 +153,29 @@ def _warm_decode_hits() -> int:
 # -- worker process ---------------------------------------------------------
 
 
-def _pool_worker_main(conn, req_name: str, rep_name: str,
-                      spill_path: str) -> None:
+def _pool_worker_main(conn, spill_path: str) -> None:
     """Worker loop: a main execution thread plus a pipe-reader thread.
 
-    The reader decodes incoming task blobs from the request arena into a
-    local deque and answers steal/ack control messages without blocking
-    execution; the main thread pops tasks FIFO and runs them through the
-    same :func:`~repro.harness.parallel._run_unit` machinery as the fork
-    pool (fresh registry, flight spill, progress ticker).
+    The reader unpickles incoming task blobs into a local deque and
+    answers steal requests without blocking execution; the main thread
+    pops tasks FIFO and runs them through
+    :func:`~repro.harness.parallel._run_unit` (fresh registry, flight
+    spill, progress ticker).
     """
     global _IN_WORKER
     _IN_WORKER = True
     # The parent orchestrates interrupts: a terminal Ctrl-C lands on the
     # whole process group, and workers dying before the parent can
-    # harvest spills / unlink arenas would turn a clean abort into a
-    # leak.  abort_pool() terminates us explicitly.
+    # harvest spills would turn a clean abort into lost diagnostics.
+    # abort_pool() terminates us explicitly.
     with contextlib.suppress(ValueError, OSError):
         signal.signal(signal.SIGINT, signal.SIG_IGN)
 
     from .parallel import SweepUnit, _run_unit
 
-    req = SharedArena(name=req_name)
-    rep = SharedArena(name=rep_name)
     local: deque = deque()
     cond = threading.Condition()
-    state = {"stop": False, "req_consumed": 0}
+    state = {"stop": False}
     send_lock = threading.Lock()
 
     def send(msg) -> None:
@@ -212,11 +195,8 @@ def _pool_worker_main(conn, req_name: str, rep_name: str,
                 return
             kind = msg[0]
             if kind == "task":
-                _, tid, desc, inline, capture, push = msg
+                _, tid, blob, capture, push = msg
                 try:
-                    blob = req.read(desc)[0] if desc is not None else inline
-                    if desc is not None:
-                        state["req_consumed"] = desc["end"]
                     key, fn = pickle.loads(blob)
                     task = (tid, key, fn, capture, push)
                 except Exception:
@@ -228,37 +208,24 @@ def _pool_worker_main(conn, req_name: str, rep_name: str,
                 k = msg[1]
                 with cond:
                     got = [local.pop() for _ in range(min(k, len(local)))]
-                send(("stolen", [t[0] for t in got],
-                      state["req_consumed"]))
-            elif kind == "ack":
-                rep.ack(msg[1])
+                send(("stolen", [t[0] for t in got]))
 
     threading.Thread(target=reader, daemon=True,
                      name="repro-pool-reader").start()
 
     def ship(tid: int, payload: tuple) -> None:
         try:
-            parts = encode_parts(payload)
+            data = pickle.dumps(payload, protocol=5)
         except Exception:
             # e.g. an unpicklable unit result: degrade to a unit error
             # (keeping the snapshot/duration/flight, which are plain
             # data) rather than poisoning the pipe.
-            payload = ("error",
-                       "sweep unit result could not be pickled:\n"
-                       + traceback.format_exc(),
-                       payload[2], payload[3], payload[4])
-            parts = encode_parts(payload)
-        desc = rep.write(*parts)
-        # A payload that outgrew the arena ships inline instead.
-        inline = None if desc is not None \
-            else pickle.dumps(payload, protocol=5)
-        # The reply arena's counters live on this side of the pipe, so
-        # they travel home with the result.
+            data = pickle.dumps(
+                ("error", "sweep unit result could not be pickled:\n"
+                 + traceback.format_exc(), *payload[2:]), protocol=5)
         meta = {"warm_builds": _WORKER_STATS["warm_builds"],
-                "warm_decodes": _warm_decode_hits(),
-                "reply_bytes": rep.bytes_shipped,
-                "reply_fallbacks": rep.fallbacks}
-        send(("result", tid, desc, inline, state["req_consumed"], meta))
+                "warm_decodes": _warm_decode_hits()}
+        send(("result", tid, data, meta))
 
     while True:
         with cond:
@@ -267,7 +234,7 @@ def _pool_worker_main(conn, req_name: str, rep_name: str,
             if not local:
                 return  # stop requested and nothing left to run
             tid, key, fn, capture, push = local.popleft()
-        send(("start", tid, state["req_consumed"]))
+        send(("start", tid))
         if fn is None:
             payload = ("error",
                        f"pool task {key!r} could not be decoded in the "
@@ -282,21 +249,17 @@ def _pool_worker_main(conn, req_name: str, rep_name: str,
 
 
 class _PoolWorker:
-    """One pool slot: process, duplex pipe, arena pair, spill file."""
+    """One pool slot: process, duplex pipe, spill file."""
 
     _seq = 0
 
-    def __init__(self, ctx, spill_dir: str, req_bytes: int,
-                 rep_bytes: int) -> None:
+    def __init__(self, ctx, spill_dir: str) -> None:
         _PoolWorker._seq += 1
         self.spill_path = os.path.join(
             spill_dir, f"flight-{_PoolWorker._seq}.jsonl")
-        self.req = SharedArena(req_bytes)   # parent produces tasks
-        self.rep = SharedArena(rep_bytes)   # worker produces results
         self.conn, child = ctx.Pipe(duplex=True)
         self.proc = ctx.Process(
-            target=_pool_worker_main,
-            args=(child, self.req.name, self.rep.name, self.spill_path),
+            target=_pool_worker_main, args=(child, self.spill_path),
             daemon=True, name="repro-pool-worker")
         self.proc.start()
         child.close()
@@ -305,8 +268,7 @@ class _PoolWorker:
         self.deadline: float | None = None
         self.steal_pending = False
         self.tasks_done = 0
-        self.meta = {"warm_builds": 0, "warm_decodes": 0,
-                     "reply_bytes": 0, "reply_fallbacks": 0}
+        self.meta = {"warm_builds": 0, "warm_decodes": 0}
 
     @property
     def pid(self) -> int:
@@ -316,19 +278,8 @@ class _PoolWorker:
     def load(self) -> int:
         return (self.running is not None) + len(self.queued)
 
-    @property
-    def arena_bytes(self) -> int:
-        """Payload bytes both arenas carried.  Request counts live here;
-        reply counts live in the worker and arrive with each result."""
-        return self.req.bytes_shipped + self.meta["reply_bytes"]
-
-    @property
-    def inline_fallbacks(self) -> int:
-        """Payloads in either direction that outgrew an arena."""
-        return self.req.fallbacks + self.meta["reply_fallbacks"]
-
     def destroy(self, *, kill: bool = False) -> None:
-        """Stop the process and release pipe + arenas."""
+        """Stop the process and close its pipe."""
         try:
             if kill:
                 self.proc.terminate()
@@ -343,16 +294,18 @@ class _PoolWorker:
         if self.proc.is_alive():  # pragma: no cover - stubborn child
             self.proc.kill()
             self.proc.join(timeout=5.0)
-        self.req.unlink()
-        self.rep.unlink()
 
 
 class PoolStats:
     """Point-in-time pool health, exposed for benchmarks and gauges."""
 
+    #: Always 0: every payload travels on the pipe, so none falls back.
+    #: Kept because benchmark records read it.
+    inline_fallbacks = 0
+
     def __init__(self, workers: int, warm_workers: int, steals: int,
-                 warm_builds: int, warm_decodes: int, arena_bytes: int,
-                 inline_fallbacks: int) -> None:
+                 warm_builds: int, warm_decodes: int,
+                 arena_bytes: int) -> None:
         self.workers = workers
         #: Workers that had already completed work before this sweep.
         self.warm_workers = warm_workers
@@ -360,9 +313,9 @@ class PoolStats:
         self.steals = steals
         self.warm_builds = warm_builds
         self.warm_decodes = warm_decodes
-        #: Total payload bytes shipped through arenas (both directions).
+        #: Task and result payload bytes over the pool's pipes (both
+        #: directions), over the pool's lifetime.
         self.arena_bytes = arena_bytes
-        self.inline_fallbacks = inline_fallbacks
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"PoolStats(workers={self.workers}, "
@@ -383,9 +336,8 @@ class WorkerPool:
     that asks for fewer simply leaves the extras idle-but-warm.
     """
 
-    def __init__(self, jobs: int = 1, *, start_method: str | None = None,
-                 request_bytes: int = DEFAULT_REQUEST_BYTES,
-                 reply_bytes: int = DEFAULT_REPLY_BYTES) -> None:
+    def __init__(self, jobs: int = 1, *,
+                 start_method: str | None = None) -> None:
         if start_method is None:
             methods = multiprocessing.get_all_start_methods()
             forced = os.environ.get("REPRO_POOL_START_METHOD")
@@ -402,16 +354,13 @@ class WorkerPool:
                                 "(first spin-up pays a fresh interpreter)")
         self.start_method = start_method
         self._ctx = multiprocessing.get_context(start_method)
-        self._req_bytes = request_bytes
-        self._rep_bytes = reply_bytes
         self._spill_dir = tempfile.mkdtemp(prefix="repro-pool-flight-")
         self._workers: list[_PoolWorker] = []
         self._closed = False
         self.busy = False
         self.sweeps = 0
         self.steals_last_sweep = 0
-        self._fallbacks_retired = 0
-        self._arena_bytes_retired = 0
+        self._payload_bytes = 0
         self.ensure_workers(jobs)
 
     # -- sizing ------------------------------------------------------------
@@ -428,8 +377,7 @@ class WorkerPool:
             self._workers.append(self._spawn())
 
     def _spawn(self) -> _PoolWorker:
-        return _PoolWorker(self._ctx, self._spill_dir,
-                           self._req_bytes, self._rep_bytes)
+        return _PoolWorker(self._ctx, self._spill_dir)
 
     def warm_workers(self) -> int:
         """Workers that have already completed at least one unit — the
@@ -439,7 +387,6 @@ class WorkerPool:
         return sum(1 for w in self._workers if w.tasks_done)
 
     def stats(self) -> PoolStats:
-        live = [w for w in self._workers if w.proc.is_alive()]
         return PoolStats(
             workers=len(self._workers),
             warm_workers=sum(1 for w in self._workers if w.tasks_done),
@@ -447,10 +394,7 @@ class WorkerPool:
             warm_builds=sum(w.meta["warm_builds"] for w in self._workers),
             warm_decodes=sum(w.meta["warm_decodes"]
                              for w in self._workers),
-            arena_bytes=self._arena_bytes_retired + sum(
-                w.arena_bytes for w in live),
-            inline_fallbacks=self._fallbacks_retired + sum(
-                w.inline_fallbacks for w in live))
+            arena_bytes=self._payload_bytes)
 
     # -- the sweep loop ----------------------------------------------------
 
@@ -462,7 +406,7 @@ class WorkerPool:
         ``collector`` is the scheduling-policy-free half of the sweep
         (:class:`repro.harness.parallel._Collector`): it owns outcomes,
         retry budgets, live publication and the incremental telemetry
-        merge; this loop owns workers, arenas, deadlines and stealing.
+        merge; this loop owns workers, pipes, deadlines and stealing.
         """
         if self._closed:
             raise RuntimeError("worker pool is shut down")
@@ -523,17 +467,14 @@ class WorkerPool:
                         or not w.proc.is_alive():
                     continue
                 tid = pending.popleft()
-                blob = blobs[tid]
-                desc = w.req.write(blob)
-                inline = None if desc is not None else blob
                 try:
-                    w.conn.send(("task", tid, desc, inline, capture,
-                                 push))
+                    w.conn.send(("task", tid, blobs[tid], capture, push))
                 except (OSError, ValueError):
                     # Crash will surface as EOF on the next wait; put
                     # the task back so nothing is lost meanwhile.
                     pending.appendleft(tid)
                     continue
+                self._payload_bytes += len(blobs[tid])
                 w.queued.append(tid)
                 progress = True
 
@@ -572,8 +513,7 @@ class WorkerPool:
             if kind == "progress":
                 collector.publish_worker(w.pid, msg[1])
             elif kind == "start":
-                _, tid, req_end = msg
-                w.req.ack(req_end)
+                tid = msg[1]
                 if tid in w.queued:
                     w.queued.remove(tid)
                 w.running = tid
@@ -581,28 +521,21 @@ class WorkerPool:
                     if timeout is not None else None
                 collector.begin_attempt(tid)
             elif kind == "stolen":
-                _, tids, req_end = msg
-                w.req.ack(req_end)
                 w.steal_pending = False
-                for tid in tids:
+                for tid in msg[1]:
                     if tid in w.queued:
                         w.queued.remove(tid)
                         pending.append(tid)
             elif kind == "result":
-                _, tid, desc, inline, req_end, meta = msg
-                w.req.ack(req_end)
-                w.meta = meta
+                _, tid, data, w.meta = msg
+                self._payload_bytes += len(data)
                 try:
-                    payload = decode_parts(w.rep.read(desc)) \
-                        if desc is not None else pickle.loads(inline)
+                    payload = pickle.loads(data)
                 except Exception:
                     payload = (_FAIL_ERROR,
                                "pool result payload could not be "
                                "decoded:\n" + traceback.format_exc(),
                                None, 0.0, None)
-                if desc is not None:
-                    with contextlib.suppress(OSError, ValueError):
-                        w.conn.send(("ack", desc["end"]))
                 w.running = None
                 w.deadline = None
                 w.tasks_done += 1
@@ -624,8 +557,6 @@ class WorkerPool:
             w.queued = []
 
     def _replace(self, w: _PoolWorker) -> None:
-        self._arena_bytes_retired += w.arena_bytes
-        self._fallbacks_retired += w.inline_fallbacks
         slot = self._workers.index(w)
         self._workers[slot] = self._spawn()
 
@@ -668,7 +599,7 @@ class WorkerPool:
         return out
 
     def shutdown(self) -> None:
-        """Graceful stop: drain-free exit, unlink arenas, remove spills."""
+        """Graceful stop: drain-free exit, remove spills."""
         if self._closed:
             return
         self._closed = True
@@ -683,7 +614,7 @@ class WorkerPool:
         Returns the harvested flight spills — the last recorded moments
         of whatever the workers were doing — after logging a rendered
         tail, so an interrupted sweep leaves evidence instead of
-        orphaned temp files and leaked ``/dev/shm`` segments.
+        orphaned temp files.
         """
         if self._closed:
             return {}
@@ -721,20 +652,7 @@ class WorkerPool:
 
 _POOL: WorkerPool | None = None
 _INSTALLED: list[WorkerPool] = []
-_ENABLED = os.environ.get("REPRO_POOL", "1").lower() not in (
-    "0", "false", "no")
 _atexit_registered = False
-
-
-def pool_enabled() -> bool:
-    """Whether picklable sweeps route to the persistent pool."""
-    return _ENABLED
-
-
-def set_pool_enabled(flag: bool) -> None:
-    """Escape hatch (``--no-pool``): force the legacy fork/serial paths."""
-    global _ENABLED
-    _ENABLED = bool(flag)
 
 
 def get_pool(jobs: int | None = None, *,

@@ -47,7 +47,6 @@ from ..workloads.base import Program
 __all__ = [
     "BuiltProgram",
     "build_program",
-    "registry_key",
     "run_baseline",
     "run_detector",
     "run_binfpe",
@@ -118,25 +117,6 @@ def _built_for(program: Program, built: BuiltProgram | None,
         raise ValueError(f"built program is {built.program.name!r}, "
                          f"not {program.name!r}")
     return built
-
-
-def registry_key(program: Program) -> str | None:
-    """A registry key resolving to this exact ``Program`` object.
-
-    Sweep units built from a key instead of the object pickle as plain
-    strings and resolve to the worker's own registry singleton — which
-    is what lets pool workers share warm builds across sweeps.  Returns
-    ``None`` for ad-hoc program instances that are not (or no longer)
-    the registered one; such sweeps fall back to closure units.
-    """
-    from ..workloads.registry import program_by_name
-    for key in (program.name, f"{program.suite}/{program.name}"):
-        try:
-            if program_by_name(key) is program:
-                return key
-        except KeyError:
-            pass
-    return None
 
 
 def _execute(built: BuiltProgram, tool, decode_cache: bool,
@@ -396,28 +376,17 @@ def measure_slowdowns_many(programs: list[Program], *,
 
     from .parallel import SweepUnit, run_sweep
 
-    # Registry programs become picklable by-key units (pool-eligible:
-    # workers resolve their own singleton and hit warm caches); ad-hoc
-    # program instances fall back to closure units (fork path).
-    keys = [registry_key(p) for p in programs]
-    units = [
-        SweepUnit(f"slowdowns/{p.name}",
-                  functools.partial(_slowdowns_unit, key, options, cost,
-                                    decode_cache, warp_batch)
-                  if key is not None else
-                  lambda p=p: measure_slowdowns(
-                      p, options=options, cost=cost,
-                      decode_cache=decode_cache, warp_batch=warp_batch))
-        for p, key in zip(programs, keys)
-    ]
+    units = [SweepUnit(f"slowdowns/{p.name}",
+                       functools.partial(_slowdowns_unit, p, options, cost,
+                                         decode_cache, warp_batch))
+             for p in programs]
     result = run_sweep(units, jobs=jobs, timeout=timeout, retries=retries)
     return result.values_strict() if strict else result.values()
 
 
-def _slowdowns_unit(key: str, options, cost, decode_cache: bool,
+def _slowdowns_unit(program: Program, options, cost, decode_cache: bool,
                     warp_batch: bool) -> ProgramSlowdowns:
     """Module-level (picklable) sweep unit for one program's slowdowns."""
-    from ..workloads.registry import program_by_name
-    return measure_slowdowns(program_by_name(key), options=options,
-                             cost=cost, decode_cache=decode_cache,
+    return measure_slowdowns(program, options=options, cost=cost,
+                             decode_cache=decode_cache,
                              warp_batch=warp_batch)

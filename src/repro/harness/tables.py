@@ -22,7 +22,7 @@ from ..workloads.paper_data import (
     zero_filled,
 )
 from ..workloads.repairs import strategy_for
-from .runner import measured_counts, registry_key, run_detector
+from .runner import measured_counts, run_detector
 
 __all__ = ["TableRow", "TableResult", "table4", "table5", "table6",
            "table7"]
@@ -79,12 +79,11 @@ class TableResult:
         return "\n".join(lines)
 
 
-def _detector_unit(key: str, options, config, decode_cache: bool,
+def _detector_unit(program: Program, options, config, decode_cache: bool,
                    warp_batch: bool):
     """Module-level (picklable) sweep unit for one table row."""
-    from ..workloads.registry import program_by_name
-    return run_detector(program_by_name(key), options=options,
-                        config=config, decode_cache=decode_cache,
+    return run_detector(program, options=options, config=config,
+                        decode_cache=decode_cache,
                         warp_batch=warp_batch)[0]
 
 
@@ -99,18 +98,10 @@ def _counting_table(title: str, programs: list[Program],
 
     from .parallel import SweepUnit, run_sweep
 
-    # Registry programs ride the persistent pool as by-key partials;
-    # ad-hoc instances keep the closure form (legacy fork path).
-    units = []
-    for program in programs:
-        key = registry_key(program)
-        fn = functools.partial(_detector_unit, key, options, config,
-                               decode_cache, warp_batch) \
-            if key is not None else \
-            (lambda program=program: run_detector(
-                program, options=options, config=config,
-                decode_cache=decode_cache, warp_batch=warp_batch)[0])
-        units.append(SweepUnit(f"table/{program.name}", fn))
+    units = [SweepUnit(f"table/{p.name}",
+                       functools.partial(_detector_unit, p, options, config,
+                                         decode_cache, warp_batch))
+             for p in programs]
     reports = run_sweep(units, jobs=jobs).values_strict()
     result = TableResult(title)
     for program, report in zip(programs, reports):
@@ -174,10 +165,9 @@ class Table7Result:
         return "\n".join(lines)
 
 
-def _table7_unit(paper_name: str, actual_key: str) -> Diagnosis:
+def _table7_unit(paper_name: str, program: Program) -> Diagnosis:
     """Module-level (picklable) sweep unit for one diagnosis row."""
-    from ..workloads.registry import program_by_name
-    diag = diagnose(program_by_name(actual_key), strategy_for(paper_name))
+    diag = diagnose(program, strategy_for(paper_name))
     diag.program = paper_name
     return diag
 
@@ -189,20 +179,11 @@ def table7(programs_by_name: dict[str, Program], *,
 
     from .parallel import SweepUnit, run_sweep
 
-    def _diagnose(paper_name: str) -> Diagnosis:
-        actual = "Sw4lite (64)" if paper_name == "Sw4lite" else paper_name
-        diag = diagnose(programs_by_name[actual], strategy_for(paper_name))
-        diag.program = paper_name
-        return diag
-
     units = []
     for name in TABLE7:
         actual = "Sw4lite (64)" if name == "Sw4lite" else name
-        program = programs_by_name.get(actual)
-        key = registry_key(program) if program is not None else None
-        fn = functools.partial(_table7_unit, name, key) \
-            if key is not None else (lambda name=name: _diagnose(name))
-        units.append(SweepUnit(f"table7/{name}", fn))
+        units.append(SweepUnit(f"table7/{name}", functools.partial(
+            _table7_unit, name, programs_by_name[actual])))
     result = Table7Result(expected=TABLE7)
     result.diagnoses = run_sweep(units, jobs=jobs).values_strict()
     return result

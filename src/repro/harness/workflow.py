@@ -100,13 +100,6 @@ def _program_leg(program: Program, options, cost
     return result, ana_stats.total_cycles
 
 
-def _workflow_unit(key: str, options, cost
-                   ) -> tuple[ScreeningResult, float]:
-    """Module-level (picklable) sweep unit: one program's pipeline leg."""
-    from ..workloads.registry import program_by_name
-    return _program_leg(program_by_name(key), options, cost)
-
-
 def screen_then_analyze(programs: list[Program], *,
                         options: CompileOptions | None = None,
                         cost: CostModel | None = None,
@@ -140,13 +133,8 @@ def _run_legs(programs: list[Program], options, cost,
     import functools
 
     from .parallel import SweepUnit, run_sweep
-    from .runner import registry_key
 
-    units = []
-    for p in programs:
-        key = registry_key(p)
-        fn = functools.partial(_workflow_unit, key, options, cost) \
-            if key is not None else \
-            (lambda p=p: _program_leg(p, options, cost))
-        units.append(SweepUnit(f"workflow/{p.name}", fn))
+    units = [SweepUnit(f"workflow/{p.name}",
+                       functools.partial(_program_leg, p, options, cost))
+             for p in programs]
     return run_sweep(units, jobs=jobs).values_strict()

@@ -13,11 +13,7 @@ nothing under the GIL anyway.  Throughput instead comes from
 - **megabatch stacking**: compatible queued kernel jobs — same SASS,
   geometry, tool config and knobs, different inputs — execute as one
   ``Session.run_batch`` pass with per-member reports
-  (``serve.batches``);
-- the **pinned warm worker pool** (``ServeConfig.workers``): a
-  :class:`repro.harness.pool.WorkerPool` installed for the service's
-  lifetime, so any sweep-based work dispatched while serving reuses
-  warm decode/build caches.
+  (``serve.batches``).
 
 The ``serve.*`` counters are written directly on the service registry
 (not the swapped active one), so a ``/metrics`` scrape mid-job sees
@@ -78,10 +74,8 @@ class ServiceClosed(RuntimeError):
 
 @dataclass(frozen=True)
 class ServeConfig:
-    """Service sizing knobs (the CLI's ``--workers``/``--cache-size``)."""
+    """Service sizing knobs (the CLI's ``--cache-size``/``--queue-depth``)."""
 
-    #: Pinned warm worker-pool size; 0 installs no pool.
-    workers: int = 0
     #: Result-cache entries; 0 disables the cache.
     cache_size: int = 64
     #: Bounded queue depth; submissions beyond it get HTTP 429.
@@ -103,7 +97,6 @@ class JobService:
         #: HTTP layer answers its routes through ``respond()``).
         self.metrics = MetricsServer(
             source=lambda: live_view(self.telemetry))
-        self.pool = None
         self._jobs: dict[str, Job] = {}
         self._queue: deque[Job] = deque()
         self._lock = threading.Lock()
@@ -124,10 +117,6 @@ class JobService:
         self._accepting = True
         self._stopping = False
         self.metrics.mount()
-        if self.config.workers > 0:
-            from ..harness import pool as pool_mod
-            self.pool = pool_mod.get_pool(self.config.workers)
-            pool_mod.install_pool(self.pool)
         self._thread = threading.Thread(
             target=self._run, daemon=True, name="repro-serve-executor")
         self._thread.start()
@@ -156,10 +145,6 @@ class JobService:
         if self._thread is not None:
             self._thread.join(timeout)
             self._thread = None
-        if self.pool is not None:
-            from ..harness import pool as pool_mod
-            pool_mod.uninstall_pool(self.pool)
-            self.pool = None
         self.metrics.stop()
 
     def __enter__(self) -> "JobService":

@@ -179,7 +179,8 @@ GAUGE_SERVE_INFLIGHT = "serve.jobs.inflight"
 GAUGE_SWEEP_STEALS = "sweep.steal"
 #: Pool workers whose caches were warm when the sweep started.
 GAUGE_POOL_WORKERS_WARM = "pool.workers.warm"
-#: Payload bytes shipped through the pool's shared-memory arenas.
+#: Task and result payload bytes over the pool's pipes.  The name
+#: predates the pipe transport; benchmark records key on it.
 GAUGE_POOL_ARENA_BYTES = "pool.arena.bytes"
 
 # -- structured events -----------------------------------------------------
@@ -283,8 +284,8 @@ METRIC_DOCS: dict[str, tuple[str, str]] = {
                                   "the last pooled sweep"),
     GAUGE_POOL_WORKERS_WARM: ("gauge", "pool workers with warm caches at "
                                        "sweep start"),
-    GAUGE_POOL_ARENA_BYTES: ("gauge", "payload bytes shipped through "
-                                      "shared-memory arenas"),
+    GAUGE_POOL_ARENA_BYTES: ("gauge", "task and result payload bytes "
+                                      "over the pool's pipes"),
     EVT_EXCEPTION: ("event", "one unique exception record"),
     EVT_FLOW: ("event", "one analyzer flow observation"),
     EVT_SHADOW: ("event", "one unique shadow-divergence site"),

@@ -1,7 +1,7 @@
 """Registry snapshot/merge — the worker→parent telemetry protocol.
 
 The parallel sweep engine (:mod:`repro.harness.parallel`) runs each work
-unit in a forked worker process under its own fresh
+unit in a pool worker process under its own fresh
 :class:`~repro.telemetry.core.Telemetry`.  Whatever the unit reported —
 counters, histograms, spans, structured events — must travel back over a
 pipe and fold into the parent registry so that ``--trace``, ``--events``

@@ -10,6 +10,7 @@ study.
 
 from __future__ import annotations
 
+import pickle
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -93,6 +94,19 @@ class Program:
     @property
     def has_expected_exceptions(self) -> bool:
         return bool(self.expected) and any(self.expected.values())
+
+    def __reduce__(self):
+        """A registered program pickles as its registry key, so a sweep
+        unit carrying it reaches a pool worker as that worker's own
+        registry object (whose warm builds it reuses).  Any other
+        program has no portable form: its builder is a closure."""
+        from .registry import program_by_name, registry_key
+        key = registry_key(self)
+        if key is None:
+            raise pickle.PicklingError(
+                f"program {self.name!r} ({self.suite}) is not a "
+                "registered program; only registered programs pickle")
+        return program_by_name, (key,)
 
 
 @dataclass(frozen=True)

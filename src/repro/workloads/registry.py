@@ -7,8 +7,8 @@ from .catalog import GENERIC_PROGRAMS, KIND_OF
 from .exception_programs import EXCEPTION_PROGRAMS
 from .paper_data import SUITE_SIZES
 
-__all__ = ["all_programs", "program_by_name", "programs_in_suite",
-           "exception_programs", "kind_of"]
+__all__ = ["all_programs", "program_by_name", "registry_key",
+           "programs_in_suite", "exception_programs", "kind_of"]
 
 _ALL: list[Program] = list(GENERIC_PROGRAMS) + list(
     EXCEPTION_PROGRAMS.values())
@@ -41,6 +41,18 @@ def all_programs() -> list[Program]:
 def program_by_name(name: str) -> Program:
     """Look up by name (suite-qualified for the two duplicate names)."""
     return _BY_NAME[name]
+
+
+def registry_key(program: Program) -> str | None:
+    """The key :func:`program_by_name` resolves to this exact object.
+
+    ``None`` for an ad-hoc instance the registry does not hold (for
+    example a ``dataclasses.replace`` copy of a registered program).
+    """
+    for key in (program.name, f"{program.suite}/{program.name}"):
+        if _BY_NAME.get(key) is program:
+            return key
+    return None
 
 
 def programs_in_suite(suite: str) -> list[Program]:

@@ -36,13 +36,13 @@ from repro.conformance import (
 from repro.conformance import oracle
 from repro.gpu import executor
 from repro.gpu.sfu import mufu_f32, mufu_rcp64h
-from repro.harness.parallel import fork_available
+from repro.harness.pool import pool_available
 from repro.sass.program import KernelCode
 from repro.telemetry import metrics_snapshot, telemetry_session
 from repro.telemetry import names
 
-needs_fork = pytest.mark.skipif(not fork_available(),
-                                reason="fork start method unavailable")
+needs_pool = pytest.mark.skipif(not pool_available(),
+                                reason="worker pool unavailable")
 
 CORPUS_DIR = Path(__file__).parent / "corpus"
 CORPUS_FILES = sorted(CORPUS_DIR.glob("*.json"))
@@ -261,7 +261,7 @@ class TestDifferential:
         assert result.ok, result.failures[:2]
         assert result.replayed > 0
 
-    @needs_fork
+    @needs_pool
     def test_fuzz_pooled_matches_in_process(self):
         result = fuzz(16, seed=5, jobs=2, replay_stride=4)
         assert result.ok, result.failures[:2]

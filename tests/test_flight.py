@@ -131,11 +131,18 @@ def _fine():
     return "ok"
 
 
+def _note_then_raise():
+    from repro.telemetry import get_telemetry
+    get_telemetry().event("before.boom")
+    raise RuntimeError("boom")
+
+
 class TestSweepFlightShipping:
     def test_killed_worker_ships_its_ring(self):
         units = [SweepUnit("calm", _fine),
                  SweepUnit("doomed", _noisy_then_die)]
         result = run_sweep(units, jobs=2, retries=0)
+        assert result.engine == "pool"
         doomed = result.outcomes[1]
         assert not doomed.ok
         assert doomed.failure.kind == FAIL_CRASH
@@ -161,13 +168,11 @@ class TestSweepFlightShipping:
         assert "flight-recorder" in str(exc_info.value)
 
     def test_in_process_error_ships_ring_too(self):
-        def boom():
-            from repro.telemetry import get_telemetry
-            get_telemetry().event("before.boom")
-            raise RuntimeError("boom")
-
-        units = [SweepUnit("calm", _fine), SweepUnit("boom", boom)]
+        # The unit raises inside a live worker (the worker survives).
+        units = [SweepUnit("calm", _fine),
+                 SweepUnit("boom", _note_then_raise)]
         result = run_sweep(units, jobs=2, retries=0)
+        assert result.engine == "pool"
         outcome = result.outcomes[1]
         assert not outcome.ok
         assert any(r.get("name") == "before.boom"

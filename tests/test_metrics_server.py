@@ -7,7 +7,9 @@ in-flight gauge — and a scrape after the sweep must show the live slots
 retracted again.
 """
 
+import functools
 import json
+import os
 import threading
 import time
 import urllib.error
@@ -15,7 +17,8 @@ import urllib.request
 
 import pytest
 
-from repro.harness.parallel import SweepUnit, fork_available, run_sweep
+from repro.harness.parallel import SweepUnit, run_sweep
+from repro.harness.pool import pool_available
 from repro.telemetry import (
     FileSnapshotSource,
     MetricsServer,
@@ -29,8 +32,8 @@ from repro.telemetry.names import CTR_SERVER_SCRAPES, GAUGE_SWEEP_INFLIGHT
 from repro.telemetry.prom import metric_name
 from repro.telemetry.server import any_active
 
-needs_fork = pytest.mark.skipif(not fork_available(),
-                                reason="fork start method unavailable")
+needs_pool = pytest.mark.skipif(not pool_available(),
+                                reason="worker pool unavailable")
 
 
 def _get(url, timeout=5.0):
@@ -166,20 +169,22 @@ class TestFileSnapshotSource:
         assert view.counters["ok.lines"].value == 1
 
 
+def _count_then_wait(gate_path, marker):
+    get_telemetry().count("unit.live.marker", marker)
+    deadline = time.monotonic() + 30.0
+    while not os.path.exists(gate_path):
+        if time.monotonic() > deadline:  # pragma: no cover - hang guard
+            raise TimeoutError("gate never opened")
+        time.sleep(0.02)
+    return marker
+
+
 def _blocking_unit(gate_path, marker):
-    def fn():
-        get_telemetry().count("unit.live.marker", marker)
-        deadline = time.monotonic() + 30.0
-        import os
-        while not os.path.exists(gate_path):
-            if time.monotonic() > deadline:  # pragma: no cover - hang guard
-                raise TimeoutError("gate never opened")
-            time.sleep(0.02)
-        return marker
-    return SweepUnit(f"live/{marker}", fn)
+    return SweepUnit(f"live/{marker}",
+                     functools.partial(_count_then_wait, gate_path, marker))
 
 
-@needs_fork
+@needs_pool
 class TestLiveSweepView:
     def _scrape_until(self, url, predicate, timeout=15.0):
         deadline = time.monotonic() + timeout
@@ -217,6 +222,7 @@ class TestLiveSweepView:
                 open(gate, "w").close()
                 worker.join(timeout=30.0)
             assert not worker.is_alive()
+            assert result["sweep"].engine == "pool"
             assert result["sweep"].values_strict() == [1, 2]
             # sweep done: live slots retracted, nothing lingers (the
             # registry is disabled, so the merged result went nowhere)
@@ -239,5 +245,5 @@ class TestLiveSweepView:
 
         with MetricsServer(port=0):
             with telemetry_session() as par_tel:
-                run_sweep(units(), jobs=2)
+                assert run_sweep(units(), jobs=2).engine == "pool"
         assert par_tel.counters["unit.live.marker"].value == serial == 3

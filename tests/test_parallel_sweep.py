@@ -4,16 +4,20 @@ Three concerns, mirroring the guarantees :mod:`repro.harness.parallel`
 documents:
 
 * fault injection — a raising unit, a unit hanging past the deadline,
-  and a worker killed mid-unit must all surface as failed outcomes
-  without aborting the sweep;
+  and a worker killed mid-unit must all surface as failed outcomes on
+  the worker pool without aborting the sweep;
 * golden equivalence — tables and figures rendered at ``jobs=2`` and
-  ``jobs=4`` must be byte-identical to the legacy serial path, and the
-  merged telemetry registry must equal a serial run's;
+  ``jobs=4`` must be byte-identical to the serial path, and the merged
+  telemetry registry must equal a serial run's; a sweep over an ad-hoc
+  program (which does not pickle) runs in-process with the same render;
 * the snapshot/merge protocol itself (counters add, gauges last-wins,
   histograms merge elementwise, spans and events survive the trip).
 """
 
+import dataclasses
+import functools
 import os
+import pickle
 import time
 
 import pytest
@@ -26,9 +30,9 @@ from repro.harness.parallel import (
     SweepError,
     SweepUnit,
     default_jobs,
-    fork_available,
     run_sweep,
 )
+from repro.harness.pool import pool_available
 from repro.harness.runner import measure_slowdowns_many
 from repro.harness.tables import table4, table5, table7
 from repro.telemetry import (
@@ -43,14 +47,48 @@ from repro.workloads import (
     EXCEPTION_PROGRAMS,
     all_programs,
     exception_programs,
+    program_by_name,
 )
+from repro.workloads.registry import _BY_NAME
 
-needs_fork = pytest.mark.skipif(not fork_available(),
-                                reason="fork start method unavailable")
+needs_pool = pytest.mark.skipif(not pool_available(),
+                                reason="worker pool unavailable")
+
+
+# Module-level unit bodies, bound with functools.partial: sweep units
+# must pickle to run on the worker pool.
+
+def _value(value):
+    return value
+
+
+def _sleepy(value, delay):
+    time.sleep(delay)
+    return value
+
+
+def _raise(message):
+    raise RuntimeError(message)
+
+
+def _exit(code):
+    os._exit(code)
 
 
 def _ok(value):
-    return SweepUnit(f"ok/{value}", lambda: value)
+    return SweepUnit(f"ok/{value}", functools.partial(_value, value))
+
+
+def _boom(message="err"):
+    return SweepUnit("boom", functools.partial(_raise, message))
+
+
+def _die(code):
+    return SweepUnit("die", functools.partial(_exit, code))
+
+
+def _hang(key="hang", seconds=60.0):
+    return SweepUnit(key, functools.partial(_sleepy, None, seconds))
 
 
 class TestSerialPath:
@@ -103,14 +141,12 @@ class TestSerialPath:
             run_sweep([_ok(1)], jobs=1, timeout=-1.0)
 
 
-@needs_fork
+@needs_pool
 class TestFaultInjection:
     def test_raising_unit_does_not_abort_sweep(self):
-        def boom():
-            raise ValueError("injected failure")
-
-        units = [_ok(1), SweepUnit("boom", boom), _ok(2), _ok(3)]
+        units = [_ok(1), _boom("injected failure"), _ok(2), _ok(3)]
         result = run_sweep(units, jobs=2, retries=1)
+        assert result.engine == "pool"
         assert [o.ok for o in result.outcomes] == [True, False, True, True]
         bad = result.outcomes[1]
         assert bad.failure.kind == FAIL_ERROR
@@ -119,13 +155,11 @@ class TestFaultInjection:
         assert result.values() == [1, None, 2, 3]
 
     def test_hanging_unit_times_out_without_retry(self):
-        def hang():
-            time.sleep(60.0)
-
-        units = [_ok("fast"), SweepUnit("hang", hang), _ok("fast2")]
+        units = [_ok("fast"), _hang(), _ok("fast2")]
         t0 = time.monotonic()
         result = run_sweep(units, jobs=2, timeout=0.5, retries=2)
         elapsed = time.monotonic() - t0
+        assert result.engine == "pool"
         assert elapsed < 30.0  # nowhere near the 60 s sleep
         bad = result.outcomes[1]
         assert not bad.ok
@@ -136,16 +170,13 @@ class TestFaultInjection:
     def test_timeout_zero_means_already_expired(self):
         # Regression: ``timeout=0`` used to read as "no timeout" through a
         # truthiness check; it must mean an immediately-expired deadline.
-        def slow():
-            time.sleep(30.0)
-            return "never"
-
         # two units so the sweep actually reaches the pool (jobs is
         # clamped to the unit count; one unit would run serially, and
         # the serial path enforces no deadlines)
-        units = [SweepUnit("slow/0", slow), SweepUnit("slow/1", slow)]
+        units = [_hang("slow/0", 30.0), _hang("slow/1", 30.0)]
         t0 = time.monotonic()
         result = run_sweep(units, jobs=2, timeout=0, retries=2)
+        assert result.engine == "pool"
         assert time.monotonic() - t0 < 25.0
         for bad in result.outcomes:
             assert not bad.ok
@@ -153,11 +184,9 @@ class TestFaultInjection:
             assert bad.attempts == 1  # timeouts are still not retried
 
     def test_killed_worker_surfaces_as_crash(self):
-        def die():
-            os._exit(17)
-
-        units = [_ok("x"), SweepUnit("die", die), _ok("y")]
+        units = [_ok("x"), _die(17), _ok("y")]
         result = run_sweep(units, jobs=2, retries=1)
+        assert result.engine == "pool"
         bad = result.outcomes[1]
         assert not bad.ok
         assert bad.failure.kind == FAIL_CRASH
@@ -165,18 +194,9 @@ class TestFaultInjection:
         assert result.values() == ["x", None, "y"]
 
     def test_mixed_faults_one_sweep(self):
-        def boom():
-            raise RuntimeError("err")
-
-        def die():
-            os._exit(1)
-
-        def hang():
-            time.sleep(60.0)
-
-        units = [_ok(0), SweepUnit("boom", boom), SweepUnit("die", die),
-                 SweepUnit("hang", hang), _ok(4)]
+        units = [_ok(0), _boom(), _die(1), _hang(), _ok(4)]
         result = run_sweep(units, jobs=3, timeout=1.0, retries=1)
+        assert result.engine == "pool"
         kinds = [o.failure.kind if o.failure else None
                  for o in result.outcomes]
         assert kinds == [None, FAIL_ERROR, FAIL_CRASH, FAIL_TIMEOUT, None]
@@ -188,14 +208,11 @@ class TestFaultInjection:
             assert key in message
 
     def test_failure_accounting_counters_and_events(self):
-        def boom():
-            raise RuntimeError("err")
-
         with telemetry_session() as tel:
-            run_sweep([_ok(1), SweepUnit("boom", boom)], jobs=2,
-                      retries=1)
+            result = run_sweep([_ok(1), _boom()], jobs=2, retries=1)
             snap = metrics_snapshot(tel)
             failures = tel.events_named(names.EVT_SWEEP_UNIT_FAILED)
+        assert result.engine == "pool"
         assert snap["counters"][names.CTR_SWEEP_UNITS_OK] == 1
         assert snap["counters"][names.CTR_SWEEP_UNITS_FAILED] == 1
         assert snap["counters"][names.CTR_SWEEP_RETRIES] == 1
@@ -204,21 +221,54 @@ class TestFaultInjection:
         assert failures[0]["kind"] == FAIL_ERROR
 
     def test_results_ordered_despite_uneven_durations(self):
-        def slow_then(value, delay):
-            def fn():
-                time.sleep(delay)
-                return value
-            return fn
-
-        units = [SweepUnit(f"u{i}", slow_then(i, 0.2 if i == 0 else 0.0))
-                 for i in range(6)]
+        units = [SweepUnit(f"u{i}", functools.partial(
+            _sleepy, i, 0.2 if i == 0 else 0.0)) for i in range(6)]
         result = run_sweep(units, jobs=3)
+        assert result.engine == "pool"
         assert result.values_strict() == [0, 1, 2, 3, 4, 5]
 
 
-@needs_fork
+class TestUnitPickling:
+    """Registered programs pickle by key; anything else runs in-process."""
+
+    def test_registered_programs_pickle_to_the_same_object(self):
+        for key, program in _BY_NAME.items():
+            assert pickle.loads(pickle.dumps(program)) is program, key
+
+    def test_adhoc_program_does_not_pickle(self):
+        adhoc = dataclasses.replace(program_by_name("GRAMSCHM"),
+                                    name="adhoc")
+        with pytest.raises(pickle.PicklingError, match="adhoc"):
+            pickle.dumps(adhoc)
+
+    def test_closure_units_run_in_process_and_log_why(self, caplog):
+        units = [SweepUnit("c/0", lambda: 0), SweepUnit("c/1", lambda: 1)]
+        with caplog.at_level("INFO", "repro.harness.parallel"):
+            result = run_sweep(units, jobs=2)
+        assert result.engine == "serial"
+        assert result.values_strict() == [0, 1]
+        assert any("does not pickle" in r.getMessage()
+                   for r in caplog.records)
+
+    def test_adhoc_table4_runs_in_process_with_serial_render(self, caplog):
+        adhoc = dataclasses.replace(program_by_name("GRAMSCHM"),
+                                    name="adhoc")
+        assert table4([adhoc], jobs=2).render() \
+            == table4([adhoc], jobs=1).render()
+        # Two units reach the pickling gate (one is clamped to jobs=1).
+        serial = table4([adhoc, adhoc], jobs=1).render()
+        with telemetry_session() as tel, \
+                caplog.at_level("INFO", "repro.harness.parallel"):
+            assert table4([adhoc, adhoc], jobs=2).render() == serial
+        sweeps = [s for s in tel.spans if s.name == names.SPAN_SWEEP]
+        assert [s.attrs["engine"] for s in sweeps] == ["serial"]
+        assert any("'table/adhoc' does not pickle" in r.getMessage()
+                   for r in caplog.records)
+
+
+@needs_pool
 class TestGoldenEquivalence:
-    """jobs=N must be byte-identical to the legacy serial path."""
+    """jobs=N must be byte-identical to the serial path."""
 
     def test_table4_render_identical(self):
         programs = exception_programs()[:6]

@@ -1,13 +1,14 @@
-"""Warm worker pool tests: arenas, stealing, warm caches, identity.
+"""Warm worker pool tests: lifecycle, stealing, warm caches, identity.
 
 Four concerns, mirroring :mod:`repro.harness.pool`'s guarantees:
 
-* arena lifecycle — shared-memory segments are unlinked after normal
-  shutdown, after a worker crash (``os._exit``), and after an external
-  ``SIGKILL``; nothing is left behind in ``/dev/shm``;
+* lifecycle — normal shutdown, a worker crash (``os._exit``), an
+  external ``SIGKILL`` and ``abort()`` leave no live worker process and
+  no flight-spill directory behind, and ``abort()`` harvests the spills
+  of units that were still running;
 * scheduling — work stealing rebalances a skewed sweep, crashes and
-  timeouts surface exactly like the fork engine's, and a respawned
-  worker keeps the pool at full strength;
+  timeouts surface as failed outcomes, and a respawned worker keeps the
+  pool at full strength;
 * warmth — a pool reused across sweeps reports warm workers and warm
   build-cache hits, which is the entire point of keeping it alive;
 * golden identity — sweeps routed through the pool render byte-identical
@@ -17,18 +18,13 @@ Four concerns, mirroring :mod:`repro.harness.pool`'s guarantees:
 
 import functools
 import os
-import pathlib
 import signal
 import time
 import urllib.request
 
 import pytest
 
-from repro.harness.arena import (
-    SharedArena,
-    decode_parts,
-    encode_parts,
-)
+from repro.harness import registry_key
 from repro.harness.parallel import (
     FAIL_CRASH,
     FAIL_ERROR,
@@ -46,7 +42,7 @@ from repro.harness.pool import (
     uninstall_pool,
     use_pool,
 )
-from repro.harness.runner import measure_slowdowns_many, registry_key
+from repro.harness.runner import measure_slowdowns_many
 from repro.harness.tables import table4
 from repro.telemetry import metrics_snapshot, telemetry_session
 from repro.telemetry import names
@@ -55,21 +51,25 @@ from repro.workloads import all_programs, exception_programs
 
 needs_pool = pytest.mark.skipif(not pool_available(),
                                 reason="worker pool unavailable "
-                                       "(no fork/spawn + shared memory)")
+                                       "(no fork or spawn start method)")
 
 
 @pytest.fixture(autouse=True)
 def _reap_pool():
-    """No test leaks the process-wide pool (or its /dev/shm segments)."""
+    """No test leaks the process-wide pool (or its worker processes)."""
     yield
     shutdown_pool()
 
 
-def _shm_arenas() -> list[str]:
-    shm = pathlib.Path("/dev/shm")
-    if not shm.exists():  # pragma: no cover - non-Linux
-        return []
-    return sorted(p.name for p in shm.glob("*repro-arena-*"))
+def _processes(pool):
+    return [w.proc for w in pool._workers]
+
+
+def _assert_torn_down(pool, procs):
+    """No worker process outlives the pool, and neither do its spills."""
+    assert pool.closed
+    assert not [p.pid for p in procs if p.is_alive()]
+    assert not os.path.exists(pool._spill_dir)
 
 
 # Module-level unit bodies: sweep units must pickle to reach the pool.
@@ -99,6 +99,20 @@ def _pid():
     return os.getpid()
 
 
+def _note_then_hang(gate):
+    from repro.telemetry import get_telemetry
+    get_telemetry().event("unit.before.hang")
+    open(gate, "w").close()
+    time.sleep(60.0)
+
+
+def _after_gate(gate, v):
+    while not os.path.exists(gate):
+        time.sleep(0.01)
+    time.sleep(0.3)  # let the parent take the hanging unit's start first
+    return v
+
+
 def _blob(nbytes):
     return b"r" * nbytes
 
@@ -111,60 +125,6 @@ def _blob_units(n, nbytes):
 def _units(n):
     return [SweepUnit(f"u/{i}", functools.partial(_value, i))
             for i in range(n)]
-
-
-class TestArena:
-    def test_roundtrip_through_shared_memory(self):
-        owner = SharedArena(size=1 << 16)
-        try:
-            peer = SharedArena(name=owner.name)
-            try:
-                desc = owner.write(b"hello", b"arena")
-                assert desc is not None
-                assert peer.read(desc) == [b"hello", b"arena"]
-                owner.ack(desc["end"])
-                assert owner.in_flight == 0
-                assert owner.bytes_shipped == 10
-            finally:
-                peer.close()
-        finally:
-            owner.close()
-            owner.unlink()
-
-    def test_wraparound_reuses_acked_space(self):
-        owner = SharedArena(size=4096)
-        peer = SharedArena(name=owner.name)
-        try:
-            payload = b"x" * 1500
-            for _ in range(10):  # 10 * 1500 bytes through a 4 KiB ring
-                desc = owner.write(payload)
-                assert desc is not None
-                assert peer.read(desc) == [payload]
-                owner.ack(desc["end"])
-            assert owner.bytes_shipped == 15000
-        finally:
-            peer.close()
-            owner.close()
-            owner.unlink()
-
-    def test_oversized_payload_falls_back_inline(self):
-        owner = SharedArena(size=4096)
-        try:
-            assert owner.write(b"y" * 8192) is None
-            assert owner.fallbacks == 1
-        finally:
-            owner.close()
-            owner.unlink()
-
-    def test_encode_decode_out_of_band_buffers(self):
-        import pickle
-        obj = {"blob": pickle.PickleBuffer(bytearray(b"z" * 4096)),
-               "n": 7}
-        parts = encode_parts(obj)
-        assert len(parts) == 2  # pickle body + out-of-band buffer
-        out = decode_parts(parts)
-        assert out["n"] == 7
-        assert bytes(out["blob"]) == b"z" * 4096
 
 
 @needs_pool
@@ -252,24 +212,16 @@ class TestPoolEngine:
         assert snap["gauges"][names.GAUGE_POOL_ARENA_BYTES] > 0
 
     def test_stats_count_reply_bytes(self):
-        """Reply bytes are counted by the worker that writes them and
-        reach the parent's stats."""
+        """Result payloads coming back over the pipes count toward the
+        pool's payload bytes."""
         with WorkerPool(1) as pool:
             with use_pool(pool):
                 result = run_sweep(_blob_units(4, 200_000), jobs=1)
             stats = pool.stats()
         assert result.engine == "pool"
+        assert result.values_strict() == [b"r" * 200_000] * 4
         assert stats.arena_bytes >= 4 * 200_000
         assert stats.inline_fallbacks == 0
-
-    def test_stats_count_inline_replies_once(self):
-        with WorkerPool(1, reply_bytes=64 * 1024) as pool:
-            with use_pool(pool):
-                result = run_sweep(_blob_units(4, 200_000), jobs=1)
-            stats = pool.stats()
-        assert result.values_strict() == [b"r" * 200_000] * 4
-        assert stats.inline_fallbacks == 4
-        assert stats.arena_bytes < 200_000
 
     def test_spawn_start_method_runs_units(self):
         with WorkerPool(2, start_method="spawn") as pool:
@@ -316,39 +268,67 @@ class TestWarmth:
 
 @needs_pool
 class TestArenaLifecycle:
+    """Pool teardown leaves nothing behind.  (The class and test names
+    predate the pipe transport, when teardown also unlinked shared
+    memory.)"""
+
     def test_no_leaked_shm_after_shutdown(self):
-        before = _shm_arenas()
-        with use_pool(get_pool(2)):
+        pool = get_pool(2)
+        with use_pool(pool):
             run_sweep(_units(4), jobs=2)
-        assert len(_shm_arenas()) > len(before)  # arenas live while warm
+        procs = _processes(pool)
+        assert all(p.is_alive() for p in procs)  # workers live while warm
+        assert os.path.isdir(pool._spill_dir)
         shutdown_pool()
-        assert _shm_arenas() == before
+        _assert_torn_down(pool, procs)
 
     def test_no_leaked_shm_after_worker_crash(self):
-        before = _shm_arenas()
-        with use_pool(get_pool(2)):
-            run_sweep([SweepUnit("die", _die)] + _units(2), jobs=2,
-                      retries=0)
+        pool = get_pool(2)
+        procs = _processes(pool)
+        with use_pool(pool):
+            result = run_sweep([SweepUnit("die", _die)] + _units(2),
+                               jobs=2, retries=0)
+        assert result.outcomes[0].failure.kind == FAIL_CRASH
+        procs += _processes(pool)  # the respawned worker too
         shutdown_pool()
-        assert _shm_arenas() == before
+        _assert_torn_down(pool, procs)
 
     def test_no_leaked_shm_after_sigkill(self):
-        before = _shm_arenas()
         pool = get_pool(2)
+        procs = _processes(pool)
         os.kill(pool._workers[0].proc.pid, signal.SIGKILL)
         pool._workers[0].proc.join(5.0)
         with use_pool(pool):
             result = run_sweep(_units(4), jobs=2)
         assert result.values_strict() == [0, 1, 2, 3]
+        procs += _processes(pool)
         shutdown_pool()
-        assert _shm_arenas() == before
+        _assert_torn_down(pool, procs)
 
-    def test_abort_harvests_and_unlinks(self):
-        before = _shm_arenas()
+    def test_abort_harvests_and_unlinks(self, tmp_path, caplog):
         pool = WorkerPool(2)
+        procs = _processes(pool)
         pool.abort()
-        assert pool.closed
-        assert _shm_arenas() == before
+        _assert_torn_down(pool, procs)
+        # An interrupt mid-sweep aborts the pool and harvests the spill
+        # of the unit that was still running.
+        gate = str(tmp_path / "gate")
+        units = [SweepUnit("hang", functools.partial(_note_then_hang, gate)),
+                 SweepUnit("fast", functools.partial(_after_gate, gate, 1))]
+
+        def interrupt(outcome):
+            raise KeyboardInterrupt
+
+        pool = WorkerPool(2)
+        procs = _processes(pool)
+        with caplog.at_level("WARNING", "repro.harness.pool"), \
+                pytest.raises(KeyboardInterrupt):
+            run_sweep(units, jobs=2, pool=pool, on_outcome=interrupt)
+        _assert_torn_down(pool, procs)
+        tails = [r.getMessage() for r in caplog.records
+                 if "pool aborted; flight tail" in r.getMessage()]
+        assert len(tails) == 1
+        assert "unit.before.hang" in tails[0]
         # an aborted shared pool is replaced on the next request
         fresh = get_pool(2)
         with use_pool(fresh):

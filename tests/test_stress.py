@@ -1,14 +1,17 @@
 """Input stress-testing tests (§6 future-work extension)."""
 
+import functools
+
 import numpy as np
 import pytest
 
 from repro.compiler import CompileOptions, KernelBuilder, compile_kernel
 from repro.fpx.stress import InputStressTester, ParamRange, StressReport
-from repro.harness.parallel import SweepUnit, fork_available, run_sweep
+from repro.harness.parallel import SweepUnit, run_sweep
+from repro.harness.pool import pool_available
 
-needs_fork = pytest.mark.skipif(not fork_available(),
-                                reason="fork start method unavailable")
+needs_pool = pytest.mark.skipif(not pool_available(),
+                                reason="worker pool unavailable")
 
 
 def divide_kernel():
@@ -126,27 +129,29 @@ class TestInternalExceptionsOnCleanOutputs:
         assert "FP32.INF" in report.cells_found
 
 
+def _stress_run(seed):
+    tester = InputStressTester(
+        divide_kernel(),
+        [ParamRange("a", -10.0, 10.0), ParamRange("b", -1.0, 1.0)],
+        fixed_params={"out": 0x1000}, seed=seed)
+    report = tester.run(samples=8, exploit_rounds=1)
+    return {
+        "seed": seed,
+        "probes": report.probes,
+        "cells": sorted(report.cells_found),
+        "triggers": [(sorted(t.params.items()), sorted(t.records),
+                      t.severe, t.report_lines)
+                     for t in report.triggers],
+    }
+
+
 def _stress_unit(seed):
     """One seeded stress run as a sweep unit; the seed travels with the
     unit, never with the worker, so placement cannot change results."""
-    def run():
-        tester = InputStressTester(
-            divide_kernel(),
-            [ParamRange("a", -10.0, 10.0), ParamRange("b", -1.0, 1.0)],
-            fixed_params={"out": 0x1000}, seed=seed)
-        report = tester.run(samples=8, exploit_rounds=1)
-        return {
-            "seed": seed,
-            "probes": report.probes,
-            "cells": sorted(report.cells_found),
-            "triggers": [(sorted(t.params.items()), sorted(t.records),
-                          t.severe, t.report_lines)
-                         for t in report.triggers],
-        }
-    return SweepUnit(f"stress/{seed}", run)
+    return SweepUnit(f"stress/{seed}", functools.partial(_stress_run, seed))
 
 
-@needs_fork
+@needs_pool
 class TestStressSweepReproducibility:
     def test_bit_reproducible_across_jobs(self):
         # A stress campaign fanned out over the sweep pool must be
@@ -156,9 +161,9 @@ class TestStressSweepReproducibility:
         seeds = [3, 5, 9, 11]
         serial = run_sweep([_stress_unit(s) for s in seeds],
                            jobs=1).values_strict()
-        pooled = run_sweep([_stress_unit(s) for s in seeds],
-                           jobs=4).values_strict()
-        assert serial == pooled
+        pooled = run_sweep([_stress_unit(s) for s in seeds], jobs=4)
+        assert pooled.engine == "pool"
+        assert serial == pooled.values_strict()
         # the runs are non-trivial: every seed found the b=0 trigger
         assert all(r["triggers"] for r in serial)
         assert [r["seed"] for r in serial] == seeds
