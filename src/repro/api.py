@@ -12,6 +12,12 @@ way to construct either::
     stats = session.run(program_by_name("myocyte"))
     print(session.report().lines())
 
+Several tools can watch one execution: ``Session(tool=[None, BinFPE(),
+FPXDetector()])`` runs each launch once and gives every entry — an
+observer, ``None`` being the uninstrumented baseline — the stats,
+channel stream and report its own solo session would produce
+(:meth:`Session.observer_stats`, ``report(observer=i)``).
+
 The pre-facade entry points — ``Device.launch_raw`` and direct
 ``ToolRuntime(...)`` construction — completed their deprecation cycle
 and now raise :class:`RuntimeError` with directions here.
@@ -61,13 +67,15 @@ EXECUTION_PATHS: dict[str, dict] = {
 
 
 class Session:
-    """One device, one optional tool, one runtime.
+    """One device, one or more observers, one runtime.
 
     Parameters
     ----------
     tool:
-        The :class:`~repro.nvbit.tool.NVBitTool` to attach, or ``None``
-        for an uninstrumented baseline run.
+        The :class:`~repro.nvbit.tool.NVBitTool` to attach, ``None``
+        for an uninstrumented baseline run, or a list of either: one
+        observer per entry, all watching one execution of each launch.
+        ``tool``, :attr:`stats` and ``report()`` default to observer 0.
     device:
         A pre-built :class:`~repro.gpu.device.Device` to run on (e.g. a
         harness build replayed under several tools).  Default: a fresh
@@ -128,20 +136,23 @@ class Session:
             raise ValueError("pass either a pre-built device or a cost "
                              "model, not both")
         self.device = device
-        self.tool = tool
+        tools = list(tool) if isinstance(tool, (list, tuple)) else [tool]
+        #: Observer 0's tool.
+        self.tool = tools[0] if tools else None
         shadow_cfg = normalize_shadow(shadow)
-        #: The session's :class:`~repro.fpx.shadow.ShadowTracker`, or
-        #: ``None`` when the shadow plane is off.
-        self.shadow_tracker = None
+        trackers = [None] * len(tools)
         if shadow_cfg is not None:
             from .fpx.shadow import ShadowTracker
-            self.shadow_tracker = ShadowTracker(shadow_cfg)
-        self.runtime = ToolRuntime(device, tool,
+            trackers = [ShadowTracker(shadow_cfg) for _ in tools]
+        #: Observer 0's :class:`~repro.fpx.shadow.ShadowTracker`, or
+        #: ``None`` when the shadow plane is off.
+        self.shadow_tracker = trackers[0] if trackers else None
+        self.runtime = ToolRuntime(device, tools,
                                    decode_cache=decode_cache,
                                    warp_batch=warp_batch,
                                    megabatch=megabatch,
                                    shadow=shadow_cfg,
-                                   shadow_tracker=self.shadow_tracker,
+                                   shadow_trackers=trackers,
                                    _via_session=True)
         #: The live exposition server, when ``serve_metrics`` was given.
         self.metrics_server = None
@@ -181,8 +192,12 @@ class Session:
 
     @property
     def stats(self) -> RunStats:
-        """The accumulated run statistics so far."""
+        """Observer 0's accumulated run statistics so far."""
         return self.runtime.run
+
+    def observer_stats(self, observer: int) -> RunStats:
+        """Observer ``observer``'s accumulated run statistics so far."""
+        return self.runtime.observers[observer].run
 
     def run(self, program: "Program",
             options: "CompileOptions | None" = None) -> RunStats:
@@ -191,7 +206,8 @@ class Session:
         return self.run_schedule(schedule)
 
     def run_schedule(self, schedule: list[LaunchSpec]) -> RunStats:
-        """Run an already-built launch schedule (end-of-program hooks run)."""
+        """Run an already-built launch schedule (end-of-program hooks
+        run); returns observer 0's stats."""
         return self.runtime.run_program(schedule)
 
     def launch(self, spec: LaunchSpec) -> None:
@@ -213,32 +229,37 @@ class Session:
         back to the serial member loop (``megabatch.fallback``).
         Returns a :class:`~repro.nvbit.runtime.BatchResult`; per-member
         tool state is read via :meth:`report` with ``member=``.  Like
-        :meth:`launch`, this does not fire ``on_program_end``.
+        :meth:`launch`, this does not fire ``on_program_end``.  A
+        session with several observers raises :class:`ValueError`.
         """
         return self.runtime.run_batch(specs)
 
     def finish(self) -> RunStats:
-        """Fire the tool's end-of-program hook; returns the run stats."""
-        if self.tool is not None:
-            self.tool.on_program_end()
+        """Fire every tool's end-of-program hook; returns observer 0's
+        run stats."""
+        self.runtime.finish()
         return self.runtime.run
 
-    def report(self, member: int | None = None):
-        """The attached tool's report (e.g. an ``ExceptionReport``).
+    def report(self, member: int | None = None, observer: int = 0):
+        """Observer ``observer``'s tool report (e.g. an
+        ``ExceptionReport``), with its shadow findings attached.
 
         ``member`` selects one member launch of a preceding
         :meth:`run_batch` (binds the member-aware tool to it first).
         """
-        if self.tool is None:
-            raise RuntimeError("no tool attached to this session")
+        obs = self.runtime.observers[observer]
+        tool, tracker = obs.tool, obs.shadow_tracker
+        if tool is None:
+            raise RuntimeError(f"observer {observer} of this session has "
+                               "no tool attached")
         if member is not None:
-            self.tool.bind_member(member)
-            if self.shadow_tracker is not None:
-                self.shadow_tracker.bind_member(member)
-        report = self.tool.report()
-        if self.shadow_tracker is not None:
+            tool.bind_member(member)
+            if tracker is not None:
+                tracker.bind_member(member)
+        report = tool.report()
+        if tracker is not None:
             try:
-                report.shadow = self.shadow_tracker.report()
+                report.shadow = tracker.report()
             except AttributeError:
                 pass  # non-dataclass tool reports stay shadow-less
         return report

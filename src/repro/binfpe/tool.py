@@ -123,8 +123,7 @@ class BinFPE(NVBitTool):
             counts = self._exc_counts(
                 self._classify(ictx.warp, regs, fmt, is_rcp, mask))
         # every active thread's value crosses the channel, exceptional or not
-        ictx.push_bulk(("binfpe-values", loc, fmt, counts), lanes,
-                       VALUE_BYTES)
+        ictx.defer(self._emit_values, (loc, fmt, counts, lanes))
 
     def _record_dest_cohort(self, cctx) -> None:
         """Whole-cohort probe: classify once over the stacked view, then

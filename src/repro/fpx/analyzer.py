@@ -231,6 +231,15 @@ class FPXAnalyzer(NVBitTool):
             dest_exceptional=bool(dest_exc[lane]),
             sources_exceptional=bool(srcs_exc[lane]),
         )
+        ictx.defer(self._record_flow, (
+            state, fmt, tuple(int(c) for c in before[:, lane]),
+            tuple(int(c) for c in after[:, lane])))
+
+    def _record_flow(self, ictx: InjectionCtx) -> None:
+        """Deferred half of :meth:`_after`: count and record one flow
+        observation (replayed after the launch, in execution order)."""
+        state, fmt, classes_before, classes_after = ictx.args
+        instr = ictx.instr
         site = self.sites.site(self.sites.register(
             ictx.launch.code.name, instr.pc, instr.getSASS(),
             instr.source_loc, fmt,
@@ -252,10 +261,10 @@ class FPXAnalyzer(NVBitTool):
                 pc=instr.pc,
                 sass=instr.getSASS(),
                 where=site.where,
-                classes_before=tuple(int(c) for c in before[:, lane]),
-                classes_after=tuple(int(c) for c in after[:, lane]),
+                classes_before=classes_before,
+                classes_after=classes_after,
                 fmt=fmt,
-                reg_nums=tuple(regs),
+                reg_nums=tuple(instr.reg_nums()),
                 seq=self._seq,
             ))
 

@@ -233,8 +233,8 @@ class FPXDetector(NVBitTool):
                 return
             e = run_check(mode, ictx.warp, regs)
             e = np.where(ictx.exec_mask, e, np.uint8(0))
-            self._push_host_values(ictx, loc, fmt, self._kind_counts(e),
-                                   lanes)
+            ictx.defer(self._emit_host_values,
+                       (loc, fmt, self._kind_counts(e), lanes))
             return
         ictx.charge(ictx.launch.cost.device_check_cycles)
         if mode in _F32_MODES and not any_exceptional_f32(
@@ -244,7 +244,7 @@ class FPXDetector(NVBitTool):
         e = np.where(ictx.exec_mask, e, np.uint8(0))
         if not e.any():
             return
-        self._push_records(ictx, self._kind_counts(e), loc, fmt)
+        ictx.defer(self._emit_records, (self._kind_counts(e), loc, fmt))
 
     def _device_check_cohort(self, cctx) -> None:
         """One probe for a whole warp cohort: the register check runs
@@ -299,7 +299,7 @@ class FPXDetector(NVBitTool):
                           kind_counts: dict[int, int], lanes: int) -> None:
         ictx.push_bulk(("fpx-host-values", loc, fmt, kind_counts), lanes, 16)
 
-    # deferred-emission trampolines (cohort engine replay)
+    # deferred-emission trampolines (replayed after the launch)
 
     def _emit_records(self, ictx: InjectionCtx) -> None:
         kind_counts, loc, fmt = ictx.args

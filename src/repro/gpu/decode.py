@@ -151,14 +151,19 @@ def decode_program(code: KernelCode) -> DecodedProgram:
     return prog
 
 
-def fuse_plan(prog: DecodedProgram,
-              plan: "InstrumentationPlan") -> DecodedProgram:
-    """Bind a tool's declarative plan into per-op injection slots.
+def fuse_plan(prog: DecodedProgram, plan: "InstrumentationPlan",
+              observer: int = 0) -> DecodedProgram:
+    """Bind observer ``observer``'s declarative plan into per-op
+    injection slots.
 
-    Returns a new program (the bare decode stays shareable); fusion is a
-    cheap O(ops) pass, so re-fusing after a decode-cache hit on the bare
-    program still skips all per-instruction resolution work.  Ops with
-    no injection are the bare program's own (immutable in use) objects.
+    Fusing onto an already-fused program overlays the plans: each op
+    keeps the earlier observers' injections and appends this one's, and
+    every :class:`~repro.gpu.executor.Injection` carries its observer so
+    the engines charge the right ledger.  Returns a new program (the
+    bare decode stays shareable); fusion is a cheap O(ops) pass, so
+    re-fusing after a decode-cache hit on the bare program still skips
+    all per-instruction resolution work.  Ops with no injection are the
+    input program's own (immutable in use) objects.
     """
     before: dict[int, list[Injection]] = {}
     after: dict[int, list[Injection]] = {}
@@ -166,19 +171,23 @@ def fuse_plan(prog: DecodedProgram,
         bucket = before if entry.when == "before" else after
         bucket.setdefault(entry.pc, []).append(
             Injection(entry.when, entry.fn, entry.args,
-                      getattr(entry, "cohort_fn", None)))
+                      getattr(entry, "cohort_fn", None), observer))
     ops = tuple(
         dataclasses.replace(op,
-                            before=tuple(before.get(op.pc, ())),
-                            after=tuple(after.get(op.pc, ())))
+                            before=op.before + tuple(before.get(op.pc, ())),
+                            after=op.after + tuple(after.get(op.pc, ())))
         if op.pc in before or op.pc in after else op
         for op in prog.ops)
     cohort_ready = all(
         op.vectorizable and all(inj.cohort_fn is not None
                                 for inj in op.before + op.after)
         for op in ops if op.before or op.after)
+    tag = plan.fingerprint if observer == 0 \
+        else f"{observer}:{plan.fingerprint}"
+    if prog.instrumented:
+        tag = f"{prog.plan_fingerprint}|{tag}"
     return DecodedProgram(prog.name, prog.code, ops, instrumented=True,
-                          plan_fingerprint=plan.fingerprint,
+                          plan_fingerprint=tag,
                           cohort_ready=cohort_ready)
 
 

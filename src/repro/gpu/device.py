@@ -1,4 +1,4 @@
-"""The device: memory, channel, and the raw kernel-launch entry point.
+"""The device: memory and the raw kernel-launch entry point.
 
 ``Device._launch_kernel`` executes a kernel with optional
 instrumentation hooks.  It deliberately knows nothing about tools:
@@ -19,10 +19,9 @@ import numpy as np
 from ..sass.program import KernelCode
 from ..telemetry import get_telemetry
 from ..telemetry.names import SPAN_GPU_LAUNCH
-from .channel import Channel
 from .cost import CostModel, DEFAULT_COST_MODEL, LaunchStats
-from .executor import (Injection, LaunchContext, execute_launch,
-                       execute_megabatch)
+from .executor import (Injection, LaunchContext, Ledger, execute_launch,
+                       execute_megabatch, replay)
 from .memory import ConstBanks, GlobalMemory, MegaGlobalMemory
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -51,7 +50,6 @@ class Device:
     name: str = "SimGPU (Ampere-class)"
     cost: CostModel = field(default_factory=lambda: DEFAULT_COST_MODEL)
     global_mem: GlobalMemory = field(default_factory=GlobalMemory)
-    channel: Channel = field(default_factory=Channel)
 
     def alloc_array(self, arr: np.ndarray) -> int:
         """Allocate and copy a host array to the device; returns address."""
@@ -67,16 +65,15 @@ class Device:
         """Copy device memory back to the host."""
         return self.global_mem.read_array(addr, dtype, count)
 
-    def snapshot_state(self) -> tuple:
-        """Freeze memory + channel state (the build-once fast path:
-        snapshot after building a program, restore before each run)."""
-        return (self.global_mem.snapshot(), len(self.channel))
+    def snapshot_state(self):
+        """Freeze device memory (the build-once fast path: snapshot
+        after building a program, restore before each run).  Channels
+        belong to the runtime's observers, not to the device."""
+        return self.global_mem.snapshot()
 
-    def restore_state(self, state: tuple) -> None:
-        """Return memory and channel to a :meth:`snapshot_state` point."""
-        mem_state, _ = state
-        self.global_mem.restore(mem_state)
-        self.channel.reset()
+    def restore_state(self, state) -> None:
+        """Return memory to a :meth:`snapshot_state` point."""
+        self.global_mem.restore(state)
 
     def launch_raw(self, *args, **kwargs):
         """Removed.  Launch through :class:`repro.api.Session` instead.
@@ -96,6 +93,7 @@ class Device:
                        decoded: "DecodedProgram | None" = None,
                        warp_batch: bool = True,
                        shadow=None,
+                       ledgers: "list[Ledger | None] | None" = None,
                        ) -> LaunchStats:
         """Execute one kernel launch and return its dynamic counts.
 
@@ -105,19 +103,28 @@ class Device:
         given, the decoded fast path runs and ``hooks`` is ignored — the
         program carries its own fused injections.  ``warp_batch`` permits
         the warp-cohort batched engine on eligible launches.
+
+        ``ledgers`` (observer index -> :class:`Ledger`) receive each
+        observer's probe charges and deferred emissions, which the caller
+        replays.  Without them the launch has one observer whose ledger
+        is the returned stats (pushes are counted, payloads dropped), and
+        its emissions are replayed before returning.
         """
         cbanks = ConstBanks()
         cbanks.set_params(list(params or []))
         stats = LaunchStats()
+        own = ledgers is None
+        if own:
+            ledgers = [Ledger(stats)]
         launch = LaunchContext(
             code=code,
             global_mem=self.global_mem,
             cbanks=cbanks,
-            channel=self.channel,
             stats=stats,
             cost=self.cost,
             grid_dim=config.grid_dim,
             block_dim=config.block_dim,
+            ledgers=ledgers,
             decoded=decoded,
             warp_batch=warp_batch,
             shadow=shadow,
@@ -137,50 +144,49 @@ class Device:
                                   block=config.block_dim,
                                   instrumented=stats.instrumented) as sp:
             execute_launch(launch)
+            # Emissions hold the launch: drop its ledgers so the two do
+            # not form a reference cycle that only the cyclic GC frees.
+            launch.ledgers = []
+            if own:
+                replay(ledgers[0].emissions, ledgers[0])
             sp.set(warp_instrs=stats.warp_instrs,
                    thread_instrs=stats.thread_instrs,
-                   injected_calls=stats.injected_calls,
-                   channel_messages=stats.channel_messages,
-                   cycles=stats.base_cycles + stats.injected_cycles)
+                   **_ledger_attrs(ledgers, stats.base_cycles))
         return stats
 
     def _launch_megabatch(self, code: KernelCode, config: LaunchConfig,
                           params_list: "list[list[int]]",
                           decoded: "DecodedProgram",
-                          on_member=None,
+                          ledgers: "list[Ledger | None]",
                           shadow=None,
-                          ) -> tuple[list[LaunchStats], MegaGlobalMemory,
-                                     list[Channel]]:
+                          ) -> tuple[list[LaunchStats], MegaGlobalMemory]:
         """Execute N member launches of one decoded program as a single
         stacked megabatch pass (see
         :func:`repro.gpu.executor.execute_megabatch`).
 
         Each member gets its own constant banks (from ``params_list[m]``),
-        its own channel, and a private partition of a
+        the observer's ledger ``ledgers[m]`` (``None`` when the program
+        is uninstrumented) and a private partition of a
         :class:`MegaGlobalMemory` replicated from this device's current
-        memory image.  The device's own memory and channel are untouched
-        — results are read from the returned mega memory's member views
-        and the per-member channels.  ``on_member`` is forwarded to the
-        engine's deferred-emission replay.
+        memory image.  The device's own memory is untouched
+        — results are read from the returned mega memory's member views,
+        and the caller replays each member's emissions.
         """
         n = len(params_list)
         mega = MegaGlobalMemory(self.global_mem, n)
-        channels = [Channel() for _ in range(n)]
         ctxs = []
         for m, params in enumerate(params_list):
             cbanks = ConstBanks()
             cbanks.set_params(list(params or []))
-            stats = LaunchStats()
-            stats.instrumented = decoded.instrumented
             ctxs.append(LaunchContext(
                 code=code,
                 global_mem=mega.member_view(m),
                 cbanks=cbanks,
-                channel=channels[m],
-                stats=stats,
+                stats=LaunchStats(),
                 cost=self.cost,
                 grid_dim=config.grid_dim,
                 block_dim=config.block_dim,
+                ledgers=[] if ledgers[m] is None else [ledgers[m]],
                 decoded=decoded,
                 shadow=shadow,
             ))
@@ -189,12 +195,21 @@ class Device:
                                   block=config.block_dim,
                                   instrumented=decoded.instrumented,
                                   members=n) as sp:
-            execute_megabatch(ctxs, mega, on_member)
+            execute_megabatch(ctxs, mega)
+            for ctx in ctxs:
+                ctx.ledgers = []  # break the emission -> launch cycle
             sp.set(warp_instrs=sum(c.stats.warp_instrs for c in ctxs),
                    thread_instrs=sum(c.stats.thread_instrs for c in ctxs),
-                   injected_calls=sum(c.stats.injected_calls for c in ctxs),
-                   channel_messages=sum(c.stats.channel_messages
-                                        for c in ctxs),
-                   cycles=sum(c.stats.base_cycles + c.stats.injected_cycles
-                              for c in ctxs))
-        return [c.stats for c in ctxs], mega, channels
+                   **_ledger_attrs(ledgers, sum(c.stats.base_cycles
+                                                for c in ctxs)))
+        return [c.stats for c in ctxs], mega
+
+
+def _ledger_attrs(ledgers, base_cycles: float) -> dict:
+    """``gpu.launch`` span attributes summed over the observers' ledgers
+    (a ledger may share the launch's own stats)."""
+    stats = [led.stats for led in ledgers if led is not None]
+    return {"injected_calls": sum(st.injected_calls for st in stats),
+            "channel_messages": sum(st.channel_messages for st in stats),
+            "cycles": base_cycles + sum(st.injected_cycles
+                                        for st in stats)}

@@ -50,9 +50,9 @@ if TYPE_CHECKING:  # pragma: no cover
     from .channel import Channel
     from .decode import DecodedProgram
 
-__all__ = ["Injection", "InjectionCtx", "CohortInjectionCtx",
+__all__ = ["Injection", "InjectionCtx", "CohortInjectionCtx", "Ledger",
            "LaunchContext", "execute_launch", "execute_megabatch",
-           "ExecutionError", "WARP_INSTR_BUDGET", "fp_compare"]
+           "replay", "ExecutionError", "WARP_INSTR_BUDGET", "fp_compare"]
 
 
 class ExecutionError(RuntimeError):
@@ -86,6 +86,53 @@ class Injection:
     #: :class:`CohortInjectionCtx` instead of once per warp.  ``None``
     #: keeps the launch on the serial per-warp engine.
     cohort_fn: "Callable[[CohortInjectionCtx], None] | None" = None
+    #: Index of the observer (the tool) this call belongs to; its
+    #: charges, pushes and deferred emissions land in that observer's
+    #: :class:`Ledger`.
+    observer: int = 0
+
+
+@dataclass(slots=True)
+class Ledger:
+    """One observer's share of one launch.
+
+    Probes charge ``stats`` (injected calls and cycles), pushes land in
+    ``stats`` and ``channel``, and :meth:`InjectionCtx.defer` appends to
+    ``emissions``.  The engines leave ``emissions`` in canonical order —
+    (block, barrier phase, warp, program order) — as
+    ``(launch, fn, warp, instr, mask, args)`` tuples for :func:`replay`.
+    """
+
+    stats: LaunchStats
+    channel: "Channel | None" = None
+    emissions: list = field(default_factory=list)
+
+
+def replay(emissions: list, ledger: Ledger) -> None:
+    """Run deferred emissions, in order, against ``ledger``: their
+    charges and pushes land in its stats and channel."""
+    for launch, fn, warp, instr, mask, args in emissions:
+        fn(InjectionCtx(launch, ledger, warp, instr, mask, args))
+
+
+def _charge_calls(launch: "LaunchContext", calls: list[int]) -> None:
+    """Charge each observer's ledger for its injected calls (the call
+    charge is integer-valued, so one batched product is exact)."""
+    call_cycles = launch.cost.injection_call_cycles
+    for observer, n in enumerate(calls):
+        if n:
+            stats = launch.ledgers[observer].stats
+            stats.injected_calls += n
+            stats.injected_cycles += n * call_cycles
+
+
+def _sort_emissions(ledgers) -> None:
+    """Put the batched engines' keyed emissions into canonical order and
+    drop the sort keys (the serial loops already emit in that order)."""
+    for ledger in ledgers:
+        if ledger is not None and ledger.emissions:
+            ledger.emissions.sort(key=lambda e: e[:4])
+            ledger.emissions[:] = [e[4:] for e in ledger.emissions]
 
 
 @dataclass
@@ -95,11 +142,15 @@ class LaunchContext:
     code: KernelCode
     global_mem: GlobalMemory
     cbanks: ConstBanks
-    channel: "Channel | None"
+    #: The execution's own counts (instructions, base cycles); every
+    #: observer's charges go to its ledger instead.
     stats: LaunchStats
     cost: CostModel
     grid_dim: int
     block_dim: int
+    #: Observer index -> :class:`Ledger`, ``None`` for observers that do
+    #: not instrument this launch (emptied once the launch has run).
+    ledgers: list = field(default_factory=list)
     shared: SharedMemory | None = None
     #: pc -> injections, split by phase for dispatch speed (legacy path).
     before: dict[int, list[Injection]] = field(default_factory=dict)
@@ -118,9 +169,16 @@ class LaunchContext:
 
 @dataclass(slots=True)
 class InjectionCtx:
-    """Argument bundle passed to injected device functions."""
+    """Argument bundle passed to injected device functions.
+
+    A probe reads warp state now and charges its observer's ledger;
+    anything it emits (channel pushes, tool-state updates) goes through
+    :meth:`defer`.  Replayed emissions get a context of this type too,
+    whose ledger is the invocation being accounted.
+    """
 
     launch: LaunchContext
+    ledger: Ledger
     warp: Warp
     instr: Instruction
     exec_mask: np.ndarray
@@ -128,16 +186,17 @@ class InjectionCtx:
 
     def charge(self, cycles: float) -> None:
         """Charge device cycles to this launch (tool-side overhead)."""
-        self.launch.stats.injected_cycles += cycles
+        self.ledger.stats.injected_cycles += cycles
 
     def push_message(self, payload: object, nbytes: int) -> None:
         """Push one record into the GPU->CPU channel."""
-        self.launch.stats.channel_messages += 1
-        self.launch.stats.channel_bytes += nbytes
-        self.launch.stats.injected_cycles += self.launch.cost.channel_push_cycles
+        stats = self.ledger.stats
+        stats.channel_messages += 1
+        stats.channel_bytes += nbytes
+        stats.injected_cycles += self.launch.cost.channel_push_cycles
         get_telemetry().count(CTR_CHANNEL_BYTES, nbytes)
-        if self.launch.channel is not None:
-            self.launch.channel.push(payload)
+        if self.ledger.channel is not None:
+            self.ledger.channel.push(payload)
 
     def push_bulk(self, payload: object, count: int, nbytes_each: int) -> None:
         """Push ``count`` equal-cost messages carried by one payload.
@@ -148,13 +207,22 @@ class InjectionCtx:
         """
         if count <= 0:
             return
-        stats = self.launch.stats
+        stats = self.ledger.stats
         stats.channel_messages += count
         stats.channel_bytes += count * nbytes_each
         stats.injected_cycles += self.launch.cost.channel_push_cycles * count
         get_telemetry().count(CTR_CHANNEL_BYTES, count * nbytes_each)
-        if self.launch.channel is not None:
-            self.launch.channel.push(payload)
+        if self.ledger.channel is not None:
+            self.ledger.channel.push(payload)
+
+    def defer(self, fn: Callable[["InjectionCtx"], None],
+              args: tuple = ()) -> None:
+        """Queue ``fn(InjectionCtx(...))`` for replay at launch end, in
+        call order (the serial engines' canonical order).  ``fn`` must
+        not read register state — ship computed values through
+        ``args``."""
+        self.ledger.emissions.append(
+            (self.launch, fn, self.warp, self.instr, self.exec_mask, args))
 
 
 @dataclass(slots=True)
@@ -166,12 +234,13 @@ class CohortInjectionCtx:
     ``exec_masks`` the matching ``(n, 32)`` execution masks.  Anything
     that must read register state happens *now*, vectorised over the
     stack; anything that emits (channel pushes, GT updates) is handed to
-    :meth:`defer`, which the engine replays at launch end in canonical
-    legacy order — (block, barrier phase, warp, program order) — so the
-    channel record stream is bit-identical to the serial engine's.
+    :meth:`defer`, which the engine sorts into canonical legacy order —
+    (block, barrier phase, warp, program order) — so the channel record
+    stream is bit-identical to the serial engine's.
     """
 
     launch: LaunchContext
+    ledger: Ledger
     cohort: "CohortView"
     instr: Instruction
     exec_masks: np.ndarray  # (n, WARP_SIZE)
@@ -189,7 +258,7 @@ class CohortInjectionCtx:
 
     def charge(self, cycles: float) -> None:
         """Charge device cycles to this launch (tool-side overhead)."""
-        self.launch.stats.injected_cycles += cycles
+        self.ledger.stats.injected_cycles += cycles
 
     def charge_per_warp(self, cycles: float) -> None:
         """Charge ``cycles`` once per cohort warp, to each warp's own
@@ -198,7 +267,7 @@ class CohortInjectionCtx:
         exact); under the megabatch engine each member launch is charged
         only for its own warps."""
         if self.row_stats is None:
-            self.launch.stats.injected_cycles += cycles * self.n
+            self.ledger.stats.injected_cycles += cycles * self.n
         else:
             for st in self.row_stats:
                 st.injected_cycles += cycles
@@ -206,10 +275,10 @@ class CohortInjectionCtx:
     def defer(self, row: int, fn: Callable[["InjectionCtx"], None],
               args: tuple = ()) -> None:
         """Queue ``fn(InjectionCtx(...))`` for cohort warp ``row``,
-        replayed at launch end in canonical warp order.  ``fn`` must not
-        read register state (it has moved on by replay time) — ship any
-        computed values through ``args``."""
-        self._defer(row, fn, args)
+        replayed after the launch in canonical warp order.  ``fn`` must
+        not read register state (it has moved on by replay time) — ship
+        any computed values through ``args``."""
+        self._defer(self.ledger, row, fn, args)
 
 
 # ---------------------------------------------------------------------------
@@ -420,6 +489,8 @@ class _WarpRunner:
         warp = self.warp
         launch = self.launch
         stats = launch.stats
+        ledgers = launch.ledgers
+        call_cycles = launch.cost.injection_call_cycles
         before = launch.before
         after = launch.after
         shadow = launch.shadow
@@ -454,10 +525,11 @@ class _WarpRunner:
             injections = before.get(pc)
             if injections:
                 for inj in injections:
-                    stats.injected_calls += 1
-                    stats.injected_cycles += launch.cost.injection_call_cycles
-                    inj.fn(InjectionCtx(launch, warp, instr, exec_mask,
-                                        inj.args))
+                    ledger = ledgers[inj.observer]
+                    ledger.stats.injected_calls += 1
+                    ledger.stats.injected_cycles += call_cycles
+                    inj.fn(InjectionCtx(launch, ledger, warp, instr,
+                                        exec_mask, inj.args))
 
             if slots is not None and slots[pc] is not None:
                 advanced = shadow.run_fn(
@@ -469,10 +541,11 @@ class _WarpRunner:
             injections = after.get(pc)
             if injections:
                 for inj in injections:
-                    stats.injected_calls += 1
-                    stats.injected_cycles += launch.cost.injection_call_cycles
-                    inj.fn(InjectionCtx(launch, warp, instr, exec_mask,
-                                        inj.args))
+                    ledger = ledgers[inj.observer]
+                    ledger.stats.injected_calls += 1
+                    ledger.stats.injected_cycles += call_cycles
+                    inj.fn(InjectionCtx(launch, ledger, warp, instr,
+                                        exec_mask, inj.args))
 
             if warp.at_barrier:
                 return
@@ -496,14 +569,14 @@ class _WarpRunner:
         warp = self.warp
         launch = self.launch
         stats = launch.stats
+        ledgers = launch.ledgers
         shadow = launch.shadow
-        call_cycles = launch.cost.injection_call_cycles
         count_nonzero = np.count_nonzero
         ops = prog.ops
         n = len(ops)
         warp.at_barrier = False
         warp_instrs = thread_instrs = fp_warps = fp_threads = 0
-        injected_calls = 0
+        calls = [0] * len(ledgers)  # injected calls per observer
         base_cycles = 0.0
         room = limit - stats.warp_instrs
         counted = None  # the warp.active object act_lanes was counted on
@@ -546,9 +619,9 @@ class _WarpRunner:
                     _PROFILE.add(self.code.name, pc, dop.opcode, dop.cycles)
 
                 for inj in dop.before:
-                    injected_calls += 1
-                    inj.fn(InjectionCtx(launch, warp, dop.instr, exec_mask,
-                                        inj.args))
+                    calls[inj.observer] += 1
+                    inj.fn(InjectionCtx(launch, ledgers[inj.observer], warp,
+                                        dop.instr, exec_mask, inj.args))
 
                 if shadow is not None and dop.shadow is not None:
                     advanced = shadow.run_op(dop, self, exec_mask)
@@ -556,9 +629,9 @@ class _WarpRunner:
                     advanced = dop.execute(self, exec_mask)
 
                 for inj in dop.after:
-                    injected_calls += 1
-                    inj.fn(InjectionCtx(launch, warp, dop.instr, exec_mask,
-                                        inj.args))
+                    calls[inj.observer] += 1
+                    inj.fn(InjectionCtx(launch, ledgers[inj.observer], warp,
+                                        dop.instr, exec_mask, inj.args))
 
                 if warp.at_barrier:
                     return
@@ -570,8 +643,7 @@ class _WarpRunner:
             stats.base_cycles += base_cycles
             stats.fp_warp_instrs += fp_warps
             stats.fp_thread_instrs += fp_threads
-            stats.injected_calls += injected_calls
-            stats.injected_cycles += injected_calls * call_cycles
+            _charge_calls(launch, calls)
 
     # -- instruction semantics ------------------------------------------------
     # Each handler returns True when it already set warp.pc (branches).
@@ -1245,9 +1317,9 @@ def _execute_launch_batched(launch: LaunchContext, warps_per_block: int,
       exact in any accumulation order (the same liberty the decoded
       serial loop takes);
     - channel records and GT updates are *deferred*: cohort probes read
-      registers immediately (vectorised) but queue their emissions,
-      which replay at launch end sorted by (block, barrier phase, warp,
-      program order) — the serial engine's emission order.
+      registers immediately (vectorised) but queue their emissions in
+      their observer's ledger, sorted at launch end by (block, barrier
+      phase, warp, program order) — the serial engine's emission order.
     """
     stats = launch.stats
     code = launch.code
@@ -1282,11 +1354,10 @@ def _execute_launch_batched(launch: LaunchContext, warps_per_block: int,
     #: (the serial engine finishes every warp's phase k before phase
     #: k+1 of any warp in the block).
     phase = [0] * n_warps
-    deferred: list[tuple] = []
+    ledgers = launch.ledgers
     seq = 0
-    call_cycles = launch.cost.injection_call_cycles
     warp_instrs = thread_instrs = fp_warps = fp_threads = 0
-    injected_calls = 0
+    calls = [0] * len(ledgers)  # injected calls per observer
     base_cycles = 0.0
     try:
         while True:
@@ -1327,28 +1398,30 @@ def _execute_launch_batched(launch: LaunchContext, warps_per_block: int,
                     _PROFILE.add(code.name, pc, dop.opcode,
                                  dop.cycles * n, n=n)
                 if dop.before or dop.after:
-                    def _defer(row, fn, args=(), _cohort=cohort,
+                    def _defer(ledger, row, fn, args=(), _cohort=cohort,
                                _masks=masks, _instr=dop.instr):
                         nonlocal seq
                         i = _cohort[row]
                         wp = warps[i]
-                        deferred.append((wp.block_id, phase[i], wp.warp_id,
-                                         seq, fn, wp, _instr, _masks[row],
-                                         args))
+                        ledger.emissions.append((
+                            wp.block_id, phase[i], wp.warp_id, seq, launch,
+                            fn, wp, _instr, _masks[row], args))
                         seq += 1
                     for inj in dop.before:
-                        injected_calls += n
+                        calls[inj.observer] += n
                         inj.cohort_fn(CohortInjectionCtx(
-                            launch, view, dop.instr, masks, inj.args, _defer))
+                            launch, ledgers[inj.observer], view, dop.instr,
+                            masks, inj.args, _defer))
                     shim.warp = view
                     if shadow is not None and dop.shadow is not None:
                         shadow.run_cohort(dop, shim, masks, idx)
                     else:
                         dop.execute(shim, masks)
                     for inj in dop.after:
-                        injected_calls += n
+                        calls[inj.observer] += n
                         inj.cohort_fn(CohortInjectionCtx(
-                            launch, view, dop.instr, masks, inj.args, _defer))
+                            launch, ledgers[inj.observer], view, dop.instr,
+                            masks, inj.args, _defer))
                 else:
                     shim.warp = view
                     if shadow is not None and dop.shadow is not None:
@@ -1392,19 +1465,14 @@ def _execute_launch_batched(launch: LaunchContext, warps_per_block: int,
         stats.base_cycles += base_cycles
         stats.fp_warp_instrs += fp_warps
         stats.fp_thread_instrs += fp_threads
-        stats.injected_calls += injected_calls
-        stats.injected_cycles += injected_calls * call_cycles
-    deferred.sort(key=lambda d: d[:4])
-    for _block, _phase, _wid, _seq, fn, wp, instr, mask, args in deferred:
-        fn(InjectionCtx(launch, wp, instr, mask, args))
+        _charge_calls(launch, calls)
+    _sort_emissions(ledgers)
     return stats
 
 
 @np.errstate(all="ignore")
 def execute_megabatch(member_ctxs: "list[LaunchContext]",
-                      mega,
-                      on_member: "Callable[[int], None] | None" = None,
-                      ) -> "list[LaunchStats]":
+                      mega) -> "list[LaunchStats]":
     """The launch-batched megabatch engine.
 
     Stacks N *member launches* of the same decoded program — identical
@@ -1415,7 +1483,8 @@ def execute_megabatch(member_ctxs: "list[LaunchContext]",
     one cohort injection probe per pc cohort across *all* members.
 
     ``member_ctxs[m]`` is member ``m``'s own :class:`LaunchContext`
-    (its cbanks, channel, stats); ``mega`` is the shared
+    (its cbanks, stats and — when instrumented — the one observer's
+    ledger at index 0); ``mega`` is the shared
     :class:`~repro.gpu.memory.MegaGlobalMemory` whose partition ``m``
     backs member ``m``.  Observable behaviour is bit-identical to N
     serial launches:
@@ -1432,11 +1501,10 @@ def execute_megabatch(member_ctxs: "list[LaunchContext]",
       reduce to member totals once, at launch end — all charges are
       integer-valued, so the split is exact; injected probes charge
       via :meth:`CohortInjectionCtx.charge_per_warp`;
-    - deferred emissions replay at batch end sorted by
-      ``(member, block, barrier phase, warp, program order)`` — member
-      by member, each in the serial engine's canonical order —
-      with ``on_member(m)`` invoked at each member boundary so a
-      member-aware tool can swap in that member's host-side state.
+    - deferred emissions land in the emitting row's member ledger,
+      each sorted at batch end into the serial engine's canonical
+      order, so the runtime can replay them member by member with that
+      member's host-side tool state bound.
     """
     template = member_ctxs[0]
     code = template.code
@@ -1481,20 +1549,21 @@ def execute_megabatch(member_ctxs: "list[LaunchContext]",
     conv = _Convergence(warps)
     #: Scratch context for cross-member dispatches: decoded closures see
     #: the mega memory (partition-offset routed); any stray flat
-    #: ``charge()`` lands on scratch stats rather than one member's.
+    #: ``charge()`` lands on a scratch ledger rather than one member's.
     batch = LaunchContext(
-        code=code, global_mem=mega, cbanks=template.cbanks, channel=None,
+        code=code, global_mem=mega, cbanks=template.cbanks,
         stats=LaunchStats(), cost=cost, grid_dim=grid, block_dim=tpb,
+        ledgers=[Ledger(LaunchStats()) for _ in template.ledgers],
         decoded=decoded)
     shim = _CohortRunner(batch)
     shadow = template.shadow
     if shadow is not None:
         shadow.attach(wset, warps)
-    member_row_stats = tuple(ctx.stats for ctx in member_ctxs)
+    member_ledgers = [ctx.ledgers[0] if ctx.ledgers else None
+                      for ctx in member_ctxs]
     member_base = np.array([mega.member_offset(m) for m in range(n_members)],
                            dtype=np.uint32)
     phase = [0] * n_warps
-    deferred: list[tuple] = []
     seq = 0
     call_cycles = cost.injection_call_cycles
     executed = 0
@@ -1562,21 +1631,26 @@ def execute_megabatch(member_ctxs: "list[LaunchContext]",
                         mega.row_offsets = member_base[mof[idx]][:, None]
                     shim.launch = ectx
                     if dop.before or dop.after:
-                        row_stats = tuple(member_row_stats[m]
+                        row_stats = tuple(member_ledgers[m].stats
                                           for m in mof[idx])
-                        def _defer(row, fn, args=(), _seg=seg, _masks=masks,
-                                   _instr=dop.instr):
+
+                        def _defer(ledger, row, fn, args=(), _seg=seg,
+                                   _masks=masks, _instr=dop.instr):
+                            # The row's member ledger, not the scratch
+                            # one the cohort context charges.
                             nonlocal seq
                             i = _seg[row]
                             wp = warps[i]
-                            deferred.append((wp.member, wp.block_id,
-                                             phase[i], wp.warp_id, seq, fn,
-                                             wp, _instr, _masks[row], args))
+                            member_ledgers[wp.member].emissions.append((
+                                wp.block_id, phase[i], wp.warp_id, seq,
+                                member_ctxs[wp.member], fn, wp, _instr,
+                                _masks[row], args))
                             seq += 1
                         for inj in dop.before:
                             inj.cohort_fn(CohortInjectionCtx(
-                                ectx, view, dop.instr, masks, inj.args,
-                                _defer, row_stats))
+                                ectx, ectx.ledgers[inj.observer], view,
+                                dop.instr, masks, inj.args, _defer,
+                                row_stats))
                         shim.warp = view
                         if shadow is not None and dop.shadow is not None:
                             shadow.run_cohort(dop, shim, masks, idx)
@@ -1584,8 +1658,9 @@ def execute_megabatch(member_ctxs: "list[LaunchContext]",
                             dop.execute(shim, masks)
                         for inj in dop.after:
                             inj.cohort_fn(CohortInjectionCtx(
-                                ectx, view, dop.instr, masks, inj.args,
-                                _defer, row_stats))
+                                ectx, ectx.ledgers[inj.observer], view,
+                                dop.instr, masks, inj.args, _defer,
+                                row_stats))
                     else:
                         shim.warp = view
                         if shadow is not None and dop.shadow is not None:
@@ -1646,15 +1721,9 @@ def execute_megabatch(member_ctxs: "list[LaunchContext]",
             st.fp_thread_instrs += int(fp_m[m]) * WARP_SIZE \
                 - int(fp_idle_m[m])
             calls = int(calls_m[m])
-            st.injected_calls += calls
-            st.injected_cycles += calls * call_cycles
-    deferred.sort(key=lambda d: d[:5])
-    cur_member = None
-    for member, _block, _phase, _wid, _seq, fn, wp, instr, mask, args \
-            in deferred:
-        if member != cur_member:
-            cur_member = member
-            if on_member is not None:
-                on_member(member)
-        fn(InjectionCtx(member_ctxs[member], wp, instr, mask, args))
+            if calls:
+                ledger = member_ledgers[m]
+                ledger.stats.injected_calls += calls
+                ledger.stats.injected_cycles += calls * call_cycles
+    _sort_emissions(member_ledgers)
     return [ctx.stats for ctx in member_ctxs]

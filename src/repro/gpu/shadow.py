@@ -527,18 +527,23 @@ def _frac_or_none(value: float) -> Fraction | None:
 
 
 class ShadowState:
-    """One launch's (or one megabatch's) shadow plane.
+    """One execution's (or one megabatch's) shadow plane.
 
-    Created by the runtime per execute/batch call; observations flow to
-    the session-lifetime :class:`repro.fpx.shadow.ShadowTracker`.
+    Created by the runtime per execution.  The plane records its
+    comparison count and divergence observations instead of reporting
+    them; :meth:`apply` hands them to a
+    :class:`repro.fpx.shadow.ShadowTracker`, once for every invocation
+    an observer's own run would have simulated.
     """
 
-    def __init__(self, config: ShadowConfig, code, tracker) -> None:
+    def __init__(self, config: ShadowConfig, code) -> None:
         self.config = config
         self.threshold = int(config.ulp_threshold)
         self.kernel = code.name
-        self.tracker = tracker
         self.checks = 0
+        #: ``(slot, count, max_ulp, member)`` divergences in execution
+        #: order; ``member=None`` means the tracker's bound member.
+        self.observations: list[tuple] = []
         self._stacked_vals = None
         self._stacked_ok = None
         self._f64_rows = None
@@ -548,6 +553,13 @@ class ShadowState:
         #: everywhere else observations carry ``member=None`` and land
         #: in whatever member the tracker is currently bound to.
         self._multi_member = False
+
+    def apply(self, tracker) -> None:
+        """Report this execution's divergences and checks to ``tracker``."""
+        for slot, count, max_ulp, member in self.observations:
+            tracker.observe(self.kernel, slot, count=count, max_ulp=max_ulp,
+                            member=member)
+        tracker.add_checks(self.checks)
 
     # -- storage wiring ----------------------------------------------------
 
@@ -759,11 +771,9 @@ class ShadowState:
         ulps2 = np.atleast_2d(ulps)
         for r in np.nonzero(exceed2.any(axis=1))[0]:
             row_hit = exceed2[r]
-            self.tracker.observe(
-                self.kernel, slot,
-                count=int(np.count_nonzero(row_hit)),
-                max_ulp=int(ulps2[r][row_hit].max()),
-                member=members[r])
+            self.observations.append((
+                slot, int(np.count_nonzero(row_hit)),
+                int(ulps2[r][row_hit].max()), members[r]))
 
     def _post64(self, slot, view, st, mask, fracs, members):
         mask2 = np.atleast_2d(mask)
@@ -794,5 +804,4 @@ class ShadowState:
                     count += 1
                     max_ulp = max(max_ulp, d)
             if count:
-                self.tracker.observe(self.kernel, slot, count=count,
-                                     max_ulp=max_ulp, member=members[r])
+                self.observations.append((slot, count, max_ulp, members[r]))

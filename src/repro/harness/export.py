@@ -23,7 +23,8 @@ from ..workloads import (
     exception_programs,
     program_by_name,
 )
-from .figures import figure4, figure5, figure6
+from .figures import Figure4Data, Figure5Data, figure6
+from .runner import measure_slowdowns_many
 from .stats import fraction_below
 from .tables import table4, table5, table6, table7
 
@@ -74,14 +75,16 @@ def run_full_evaluation(*, figure6_programs: tuple[str, ...] = (
                          for d in t7.diagnoses),
     }
 
-    fig4 = figure4(programs, jobs=jobs)
+    # Figures 4 and 5 plot the same per-program measurements: one sweep.
+    slowdowns = measure_slowdowns_many(programs, jobs=jobs)
+    fig4 = Figure4Data(slowdowns)
     out["figure4"] = {
         "histograms": fig4.histograms(),
         "fpx_under_10x": fraction_below(fig4.fpx, 10.0),
         "binfpe_under_10x": fraction_below(fig4.binfpe, 10.0),
     }
 
-    fig5 = figure5(programs, jobs=jobs)
+    fig5 = Figure5Data(slowdowns)
     out["figure5"] = {
         "geomean_speedup": fig5.geomean_speedup,
         "programs_100x_faster": fig5.programs_100x_faster,

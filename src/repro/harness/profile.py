@@ -60,6 +60,9 @@ class _CountingTool(NVBitTool):
             for instr in code))
 
     def _count(self, ictx: InjectionCtx) -> None:
+        ictx.defer(self._tally, ictx.args)
+
+    def _tally(self, ictx: InjectionCtx) -> None:
         category, opcode = ictx.args
         self.category_counts[category] += 1
         self.opcode_counts[opcode] += 1

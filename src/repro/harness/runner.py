@@ -2,12 +2,14 @@
 
 Every entry point builds through :func:`build_program`, which compiles
 the program's kernels, allocates its device memory, and snapshots the
-device so the build can be reused: :func:`measure_slowdowns` builds
-*once* and replays the same schedule under all four configurations
-(restoring device state in between), instead of recompiling per run.
-Build work is visible as ``harness.build`` spans plus the
+device so the build can be reused (:meth:`BuiltProgram.fresh` restores
+it).  Build work is visible as ``harness.build`` spans plus the
 ``harness.build.cache.{hit,miss}`` counters (a hit is a run that reused
-an existing build).
+an existing build).  Where one program runs under several
+configurations — :func:`measure_slowdowns`' four, or
+:func:`run_workload_json`'s baseline and tool — one session observes a
+single execution with every configuration at once
+(:class:`repro.api.Session` with a list of tools).
 
 :func:`measure_slowdowns_many` is the batch API: it runs the Figure-4/5
 measurement over a program set, optionally fanned out across worker
@@ -122,6 +124,8 @@ def _built_for(program: Program, built: BuiltProgram | None,
 def _execute(built: BuiltProgram, tool, decode_cache: bool,
              warp_batch: bool = True,
              shadow=None) -> tuple[RunStats, Session]:
+    """Run ``built``'s schedule from its fresh state under ``tool`` (one
+    tool, ``None``, or a list of observers)."""
     built.fresh()
     session = Session(tool, device=built.device,
                       decode_cache=decode_cache, warp_batch=warp_batch,
@@ -243,41 +247,40 @@ def run_workload_json(program_name: str, tool: str = "detector", *,
                       shadow=None) -> dict:
     """Run one registry workload and return the canonical JSON document.
 
-    This is the single producer of the public run payload: the CLI's
-    ``run --json`` and the ``repro.serve`` job API both emit exactly
-    this structure, byte-identical for the same program/tool/options
-    (the simulator is deterministic).  Raises :class:`KeyError` for an
-    unknown program and :class:`ValueError` for an unknown tool.
+    This is the single producer of the ``repro.serve`` workload job
+    payload, the same structure the CLI's ``run --json`` prints,
+    byte-identical for the same program/tool/options (the simulator is
+    deterministic).  The program is built once, and the baseline and the
+    tool observe one execution.  Raises :class:`KeyError` for an unknown
+    program and :class:`ValueError` for an unknown tool.
     """
     from ..workloads import program_by_name
     program = program_by_name(program_name)
-    options = CompileOptions.fast_math() if fast_math \
-        else CompileOptions.precise()
-    base = run_baseline(program, options=options,
-                        decode_cache=decode_cache, warp_batch=warp_batch)
-    payload: dict = {"program": program.name, "suite": program.suite,
-                     "tool": tool, "fast_math": fast_math}
     if tool == "binfpe":
-        report, stats = run_binfpe(program, options=options,
-                                   decode_cache=decode_cache,
-                                   warp_batch=warp_batch, shadow=shadow)
-        payload["report"] = report.to_json()
+        instance, span = BinFPE(), SPAN_RUN_BINFPE
     elif tool == "analyzer":
-        analyzer, stats = run_analyzer(program, options=options,
-                                       config=AnalyzerConfig(),
-                                       decode_cache=decode_cache,
-                                       warp_batch=warp_batch, shadow=shadow)
-        payload["analyzer"] = analyzer.to_json()
-        payload["events"] = analyzer.events_json()
+        instance, span = FPXAnalyzer(AnalyzerConfig()), SPAN_RUN_ANALYZER
     elif tool == "detector":
-        report, stats = run_detector(program, options=options,
-                                     config=detector_config,
-                                     decode_cache=decode_cache,
-                                     warp_batch=warp_batch, shadow=shadow)
-        payload["report"] = report.to_json()
+        instance, span = FPXDetector(detector_config), SPAN_RUN_DETECTOR
     else:
         raise ValueError(f"unknown tool {tool!r}; expected "
                          f"detector, analyzer or binfpe")
+    options = CompileOptions.fast_math() if fast_math \
+        else CompileOptions.precise()
+    payload: dict = {"program": program.name, "suite": program.suite,
+                     "tool": tool, "fast_math": fast_math}
+    built = _built_for(program, None, options, None)
+    with get_telemetry().span(span, program=program.name,
+                              suite=program.suite) as sp:
+        _, session = _execute(built, [None, instance], decode_cache,
+                              warp_batch, shadow)
+        base, stats = session.observer_stats(0), session.observer_stats(1)
+        if tool == "analyzer":
+            payload["analyzer"] = instance.to_json()
+            payload["events"] = instance.events_json()
+        else:
+            payload["report"] = session.report(observer=1).to_json()
+        sp.set(launches=stats.launches, cycles=stats.total_cycles)
     payload["stats"] = stats_json(stats, base)
     return payload
 
@@ -324,23 +327,16 @@ def measure_slowdowns(program: Program, *,
                       built: BuiltProgram | None = None) -> ProgramSlowdowns:
     """The Figure 4/5 measurement: base, BinFPE, FPX w/o GT, FPX w/ GT.
 
-    The program is compiled and laid out once; the same build is
-    replayed (device state restored in between) under all four
-    configurations — 3 ``harness.build.cache.hit``\\ s per program.
+    The program is compiled and laid out once, and one session runs its
+    schedule with all four configurations as observers of a single
+    execution: no ``harness.build.cache.hit`` for a build made here.
     """
     built = _built_for(program, built, options, cost)
-    base = run_baseline(program, built=built, decode_cache=decode_cache,
-                        warp_batch=warp_batch)
-    _, binfpe = run_binfpe(program, built=built, decode_cache=decode_cache,
-                           warp_batch=warp_batch)
-    _, no_gt = run_detector(program, built=built, decode_cache=decode_cache,
-                            warp_batch=warp_batch,
-                            config=DetectorConfig(use_gt=False))
-    _, fpx = run_detector(program, built=built, decode_cache=decode_cache,
-                          warp_batch=warp_batch,
-                          config=DetectorConfig(use_gt=True))
-    result = ProgramSlowdowns(program.name, program.suite, base, binfpe,
-                              no_gt, fpx)
+    _, session = _execute(built, [
+        None, BinFPE(), FPXDetector(DetectorConfig(use_gt=False)),
+        FPXDetector(DetectorConfig(use_gt=True))], decode_cache, warp_batch)
+    result = ProgramSlowdowns(program.name, program.suite,
+                              *(session.observer_stats(i) for i in range(4)))
     # Figure-4 distributions, accumulated across whatever program set
     # the caller sweeps.
     tel = get_telemetry()

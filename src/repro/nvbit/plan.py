@@ -51,8 +51,9 @@ class PlannedInjection:
         name = getattr(self.fn, "__qualname__", repr(self.fn))
         return f"{self.pc}:{self.when}:{name}:{self.args!r}"
 
-    def to_injection(self) -> Injection:
-        return Injection(self.when, self.fn, self.args, self.cohort_fn)
+    def to_injection(self, observer: int = 0) -> Injection:
+        return Injection(self.when, self.fn, self.args, self.cohort_fn,
+                         observer)
 
 
 @dataclass
@@ -84,9 +85,10 @@ class InstrumentationPlan:
             self._fingerprint = h.hexdigest()
         return self._fingerprint
 
-    def to_hooks(self) -> list[tuple[int, Injection]]:
-        """Render as the legacy ``(pc, Injection)`` hook list."""
-        return [(e.pc, e.to_injection()) for e in self.entries]
+    def to_hooks(self, observer: int = 0) -> list[tuple[int, Injection]]:
+        """Render as the legacy ``(pc, Injection)`` hook list, each call
+        tagged with ``observer``."""
+        return [(e.pc, e.to_injection(observer)) for e in self.entries]
 
     def __len__(self) -> int:
         return len(self.entries)

@@ -1,20 +1,37 @@
 """Interception runtime: sits between launches and the device.
 
 This is the Figure-1 layer: every kernel launch passes through the
-runtime, which asks the attached tool whether to instrument (Algorithm 3
-is implemented inside the tool), fetches/creates the instrumented SASS,
-charges JIT cost for instrumented launches, executes, and pumps channel
-messages to the tool's host-side receiver.
+runtime, which asks each attached tool whether to instrument (Algorithm
+3 is implemented inside the tool), fetches/creates the instrumented
+SASS, charges JIT cost for instrumented launches, executes, and pumps
+channel messages to each tool's host-side receiver.
+
+**One execution, many observers.**  A runtime carries one or more
+observers: each is a tool (or ``None``, the uninstrumented baseline)
+with its own :class:`~repro.gpu.cost.RunStats`, plan cache, channel,
+shadow tracker and Algorithm-3 decisions.  Tools only read registers
+and write their own channels, so every observer sees the same register,
+memory and control-flow trajectory: the runtime executes each launch
+*once* with the plans of every observer that instruments it overlaid
+(:func:`~repro.gpu.decode.fuse_plan`), and each observer's probes charge
+its own ledger and defer their emissions.  An observer's view of the
+launch is the execution's counts plus its ledger, with its emissions
+replayed against its own host-side state.  A solo run is the
+one-observer case.
 
 ``launch`` supports a ``repeat`` count for launches that are logically
 executed many times with identical inputs (neural-network style kernels,
-CuMF-Movielens' ALS updates...).  Non-stateful repeats are simulated at
-most three times — uninstrumented, instrumented-cold, instrumented-warm —
-and the dynamic counts of the remaining iterations are accumulated
-analytically.  This keeps the Python simulator fast while preserving the
-cost model's per-invocation JIT and channel accounting, and it is exact:
-an identical relaunch touches the same locations, so a warm launch's
-dedup behaviour (the GT table) is stationary after the first repetition.
+CuMF-Movielens' ALS updates...).  A stateless ``repeat=N`` spec executes
+once, with every observer that instruments any of its invocations; per
+observer, an uninstrumented invocation takes the execution's counts,
+the first instrumented one (cold) replays the recorded emissions, the
+second (warm) replays them again against the state the cold one left —
+the GT has the records now — and the remaining invocations repeat the
+warm counts analytically.  This is exact: an identical relaunch follows
+the same trajectory, so probe charges repeat and only the emissions'
+effect on host state can change, which the replay reproduces; the dedup
+behaviour (the GT table) is stationary after the warm invocation.
+Stateful specs execute once per invocation.
 """
 
 from __future__ import annotations
@@ -23,9 +40,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ..gpu.channel import Channel
 from ..gpu.cost import LaunchStats, RunStats
 from ..gpu.decode import DecodedProgram, decode_program, fuse_plan
 from ..gpu.device import Device, LaunchConfig
+from ..gpu.executor import Ledger, replay
 from ..gpu.shadow import ShadowState
 from ..sass.program import KernelCode
 from ..telemetry import get_telemetry
@@ -47,7 +66,8 @@ from ..telemetry.names import (
 from .plan import InstrumentationPlan
 from .tool import NVBitTool
 
-__all__ = ["ToolRuntime", "LaunchSpec", "BatchResult", "WARM_DECODE_STATS"]
+__all__ = ["ToolRuntime", "LaunchSpec", "BatchResult", "Observer",
+           "WARM_DECODE_STATS"]
 
 #: Process-wide count of bare-decode reuse (the ``code._decoded_bare``
 #: memo in :func:`repro.gpu.decode.decode_program`).  In persistent pool
@@ -118,60 +138,26 @@ class BatchResult:
         return prefix[addr:addr + nbytes].view(dtype).copy()
 
 
-class ToolRuntime:
-    """Runs a program's launch schedule under an (optional) tool.
+class Observer:
+    """One tool (or ``None``: the uninstrumented baseline) watching a
+    runtime's executions, with everything its own run would own."""
 
-    Direct construction is an error — go through
-    :class:`repro.api.Session`, which owns the runtime and forwards
-    ``decode_cache``/``warp_batch``/``megabatch``.  (White-box callers
-    inside this package pass ``_via_session=True``.)
-    """
-
-    def __init__(self, device: Device, tool: NVBitTool | None = None, *,
-                 decode_cache: bool = True, warp_batch: bool = True,
-                 megabatch: bool = True,
-                 shadow=None, shadow_tracker=None,
-                 _via_session: bool = False) -> None:
-        if not _via_session:
-            raise RuntimeError(
-                "constructing ToolRuntime directly was removed; use "
-                "repro.api.Session instead — e.g. Session(tool, "
-                "device=device).run_schedule([...]) — which owns the "
-                "runtime and its caches")
-        self.device = device
+    def __init__(self, index: int, tool: NVBitTool | None, run: RunStats,
+                 shadow_tracker=None) -> None:
+        self.index = index
         self.tool = tool
-        self.run = RunStats(cost=device.cost)
-        #: ``decode_cache=False`` is the ``--no-decode-cache`` escape
-        #: hatch: run the legacy dict-dispatch interpreter with per-pc
-        #: hook dicts instead of decoded micro-op programs.
-        self.decode_cache = decode_cache
-        #: ``warp_batch=False`` is the ``--no-warp-batch`` escape hatch:
-        #: force the serial per-warp engine even on cohort-ready,
-        #: multi-warp launches.
-        self.warp_batch = warp_batch
-        #: ``megabatch=False`` is the ``--no-megabatch`` escape hatch:
-        #: :meth:`run_batch` always takes the member-by-member serial
-        #: fallback.
-        self.megabatch = megabatch
-        #: Shadow-precision plane config (a ShadowConfig) and its
-        #: divergence tracker (a :class:`repro.fpx.shadow.ShadowTracker`);
-        #: both ``None`` when shadow execution is off.
-        self.shadow = shadow
+        self.run = run
         self.shadow_tracker = shadow_tracker
-        self._plan_cache: dict[str, InstrumentationPlan] = {}
-        #: (kernel fingerprint, plan fingerprint) -> decoded program;
-        #: "" as plan fingerprint keys the bare (uninstrumented) decode.
-        self._decoded_cache: dict[tuple[str, str], DecodedProgram] = {}
-        self._started = False
+        self.channel = Channel()
+        self._plans: dict[str, InstrumentationPlan] = {}
 
-    def _ensure_started(self) -> None:
-        if not self._started:
-            self._started = True
-            if self.tool is not None:
-                self.tool.on_context_start(self.run)
+    def should_instrument(self, kernel_name: str) -> bool:
+        """This observer's Algorithm-3 decision for one invocation."""
+        return self.tool is not None and \
+            self.tool.should_instrument(kernel_name)
 
-    def _plan_for(self, code: KernelCode) -> InstrumentationPlan:
-        plan = self._plan_cache.get(code.name)
+    def plan_for(self, code: KernelCode) -> InstrumentationPlan:
+        plan = self._plans.get(code.name)
         if plan is None:
             # NVBit JIT: first instrumented use of this kernel's SASS.
             with get_telemetry().span(SPAN_NVBIT_INSTRUMENT,
@@ -180,62 +166,36 @@ class ToolRuntime:
                 plan = self.tool.plan_kernel(code)
                 sp.set(hooks=len(plan))
             get_telemetry().count(CTR_JIT_MISSES)
-            self._plan_cache[code.name] = plan
+            self._plans[code.name] = plan
         else:
             get_telemetry().count(CTR_JIT_HITS)
         return plan
 
-    def _decoded_for(self, code: KernelCode,
-                     plan: InstrumentationPlan | None) -> DecodedProgram:
-        # NB: ``plan is not None``, not truthiness — an *empty* plan still
-        # marks the launch instrumented and must not share the bare key.
-        key = (code.fingerprint(),
-               plan.fingerprint if plan is not None else "")
-        decoded = self._decoded_cache.get(key)
-        if decoded is not None:
-            get_telemetry().count(CTR_DECODE_CACHE_HIT)
-            return decoded
-        get_telemetry().count(CTR_DECODE_CACHE_MISS)
-        if getattr(code, "_decoded_bare", None) is not None:
-            WARM_DECODE_STATS["hits"] += 1
-        with get_telemetry().span(SPAN_DECODE, kernel=code.name,
-                                  static_instrs=len(code),
-                                  instrumented=plan is not None) as sp:
-            decoded = decode_program(code)
-            if plan is not None:
-                decoded = fuse_plan(decoded, plan)
-            sp.set(fused=0 if plan is None else len(plan))
-        self._decoded_cache[key] = decoded
-        return decoded
+    def account(self, spec: "LaunchSpec", ex: "_Execution",
+                instrumented: bool) -> LaunchStats:
+        """One invocation as this observer's own run would simulate it.
 
-    def _execute(self, spec: LaunchSpec, instrumented: bool) -> LaunchStats:
-        tel = get_telemetry()
-        plan = self._plan_for(spec.code) if instrumented else None
-        if self.decode_cache:
-            decoded = self._decoded_for(spec.code, plan)
-            hooks = None
-        else:
-            decoded = None
-            hooks = plan.to_hooks() if plan is not None else None
-        shadow_state = None
-        if self.shadow is not None:
-            shadow_state = ShadowState(self.shadow, spec.code,
-                                       self.shadow_tracker)
-        with tel.span(SPAN_NVBIT_EXECUTE, kernel=spec.code.name,
-                      instrumented=instrumented) as sp:
-            stats = self.device._launch_kernel(spec.code, spec.config,
-                                               list(spec.params), hooks=hooks,
-                                               decoded=decoded,
-                                               warp_batch=self.warp_batch,
-                                               shadow=shadow_state)
-            sp.set(warp_instrs=stats.warp_instrs,
-                   injected_calls=stats.injected_calls,
-                   cycles=stats.base_cycles + stats.injected_cycles)
-        if shadow_state is not None:
-            self.shadow_tracker.add_checks(shadow_state.checks)
+        The execution's shadow record goes to this observer's tracker;
+        the stats are the execution's counts plus (``instrumented``)
+        this observer's probe-phase ledger and a replay of its recorded
+        emissions against the current host-side state, whose channel
+        traffic is then drained to the tool.
+        """
+        base = ex.base
+        if ex.shadow is not None:
+            ex.shadow.apply(self.shadow_tracker)
+        stats = LaunchStats(base.kernel_name,
+                            static_instrs=base.static_instrs)
+        stats.merge_scaled(base)
+        if instrumented:
+            ledger = ex.ledgers[self.index]
+            stats.instrumented = True
+            stats.merge_scaled(ledger.stats)
+            replay(ledger.emissions, Ledger(stats, self.channel))
         if self.tool is not None:
-            with tel.span(SPAN_NVBIT_DRAIN, kernel=spec.code.name) as sp:
-                pending = self.device.channel.drain()
+            with get_telemetry().span(SPAN_NVBIT_DRAIN,
+                                      kernel=spec.code.name) as sp:
+                pending = self.channel.drain()
                 if pending:
                     self.tool.receive(pending)
                 sp.set(messages=len(pending))
@@ -259,60 +219,210 @@ class ToolRuntime:
             stats.channel_messages *= factor
             stats.channel_bytes *= factor
 
+
+@dataclass
+class _Execution:
+    """What one execution left for its observers to account."""
+
+    #: The execution's own counts (no tool charges).
+    base: LaunchStats
+    #: Observer index -> its probe-phase ledger (``None`` when the
+    #: observer did not instrument this execution).
+    ledgers: list
+    #: The recorded shadow plane, or ``None`` when shadowing is off.
+    shadow: ShadowState | None = None
+
+
+class ToolRuntime:
+    """Runs a program's launch schedule under zero or more observers.
+
+    ``tool`` is one tool, ``None`` (an uninstrumented run) or a list of
+    either — one observer each, all fed by one execution per launch.
+    ``tool``, ``run`` and ``shadow_tracker`` name observer 0's.
+
+    Direct construction is an error — go through
+    :class:`repro.api.Session`, which owns the runtime and forwards
+    ``decode_cache``/``warp_batch``/``megabatch``.  (White-box callers
+    inside this package pass ``_via_session=True``.)
+    """
+
+    def __init__(self, device: Device,
+                 tool: "NVBitTool | None | list" = None, *,
+                 decode_cache: bool = True, warp_batch: bool = True,
+                 megabatch: bool = True,
+                 shadow=None, shadow_trackers=None,
+                 _via_session: bool = False) -> None:
+        if not _via_session:
+            raise RuntimeError(
+                "constructing ToolRuntime directly was removed; use "
+                "repro.api.Session instead — e.g. Session(tool, "
+                "device=device).run_schedule([...]) — which owns the "
+                "runtime and its caches")
+        self.device = device
+        tools = list(tool) if isinstance(tool, (list, tuple)) else [tool]
+        if not tools:
+            raise ValueError("a runtime needs at least one observer")
+        trackers = list(shadow_trackers) if shadow_trackers is not None \
+            else [None] * len(tools)
+        self.observers = [Observer(i, t, RunStats(cost=device.cost), tr)
+                          for i, (t, tr) in enumerate(zip(tools, trackers))]
+        #: ``decode_cache=False`` is the ``--no-decode-cache`` escape
+        #: hatch: run the legacy dict-dispatch interpreter with per-pc
+        #: hook dicts instead of decoded micro-op programs.
+        self.decode_cache = decode_cache
+        #: ``warp_batch=False`` is the ``--no-warp-batch`` escape hatch:
+        #: force the serial per-warp engine even on cohort-ready,
+        #: multi-warp launches.
+        self.warp_batch = warp_batch
+        #: ``megabatch=False`` is the ``--no-megabatch`` escape hatch:
+        #: :meth:`run_batch` always takes the member-by-member serial
+        #: fallback.
+        self.megabatch = megabatch
+        #: Shadow-precision plane config (a ShadowConfig), or ``None``
+        #: when shadow execution is off; each observer's divergence
+        #: tracker is its ``shadow_tracker``.
+        self.shadow = shadow
+        #: (kernel fingerprint, ((observer, plan fingerprint), ...)) ->
+        #: decoded program; an empty tuple keys the bare decode.
+        self._decoded_cache: dict[tuple, DecodedProgram] = {}
+        self._started = False
+
+    @property
+    def tool(self) -> NVBitTool | None:
+        return self.observers[0].tool
+
+    @property
+    def run(self) -> RunStats:
+        return self.observers[0].run
+
+    @property
+    def shadow_tracker(self):
+        return self.observers[0].shadow_tracker
+
+    def _ensure_started(self) -> None:
+        if not self._started:
+            self._started = True
+            for obs in self.observers:
+                if obs.tool is not None:
+                    obs.tool.on_context_start(obs.run)
+
+    def _decoded_for(self, code: KernelCode,
+                     plans: "list[tuple[int, InstrumentationPlan]]"
+                     ) -> DecodedProgram:
+        # An *empty* plan still marks the launch instrumented and keys
+        # differently from the bare decode.
+        key = (code.fingerprint(),
+               tuple((i, plan.fingerprint) for i, plan in plans))
+        decoded = self._decoded_cache.get(key)
+        if decoded is not None:
+            get_telemetry().count(CTR_DECODE_CACHE_HIT)
+            return decoded
+        get_telemetry().count(CTR_DECODE_CACHE_MISS)
+        if getattr(code, "_decoded_bare", None) is not None:
+            WARM_DECODE_STATS["hits"] += 1
+        with get_telemetry().span(SPAN_DECODE, kernel=code.name,
+                                  static_instrs=len(code),
+                                  instrumented=bool(plans)) as sp:
+            decoded = decode_program(code)
+            for i, plan in plans:
+                decoded = fuse_plan(decoded, plan, i)
+            sp.set(fused=sum(len(plan) for _, plan in plans))
+        self._decoded_cache[key] = decoded
+        return decoded
+
+    def _execute(self, spec: LaunchSpec,
+                 instrumenting: "list[bool]") -> _Execution:
+        """Execute ``spec`` once with the plans of every observer
+        flagged in ``instrumenting`` overlaid."""
+        tel = get_telemetry()
+        plans = [(obs.index, obs.plan_for(spec.code))
+                 for obs, on in zip(self.observers, instrumenting) if on]
+        ledgers = [Ledger(LaunchStats(), obs.channel) if on else None
+                   for obs, on in zip(self.observers, instrumenting)]
+        if self.decode_cache:
+            decoded = self._decoded_for(spec.code, plans)
+            hooks = None
+        else:
+            decoded = None
+            hooks = [hook for i, plan in plans
+                     for hook in plan.to_hooks(i)] if plans else None
+        shadow_state = None
+        if self.shadow is not None:
+            shadow_state = ShadowState(self.shadow, spec.code)
+        with tel.span(SPAN_NVBIT_EXECUTE, kernel=spec.code.name,
+                      instrumented=bool(plans)) as sp:
+            stats = self.device._launch_kernel(spec.code, spec.config,
+                                               list(spec.params), hooks=hooks,
+                                               decoded=decoded,
+                                               warp_batch=self.warp_batch,
+                                               shadow=shadow_state,
+                                               ledgers=ledgers)
+            probes = [led.stats for led in ledgers if led is not None]
+            sp.set(warp_instrs=stats.warp_instrs,
+                   injected_calls=sum(p.injected_calls for p in probes),
+                   cycles=stats.base_cycles
+                   + sum(p.injected_cycles for p in probes))
+        return _Execution(stats, ledgers, shadow_state)
+
     def launch(self, spec: LaunchSpec) -> None:
         """Run one launch spec (all its repeats) and account its costs."""
+        names = [obs.tool.name for obs in self.observers
+                 if obs.tool is not None]
         with get_telemetry().span(SPAN_NVBIT_LAUNCH,
                                   kernel=spec.code.name,
                                   repeat=spec.repeat,
-                                  tool=getattr(self.tool, "name", None)):
+                                  tool=",".join(names) or None):
             self._launch(spec)
 
     def _launch(self, spec: LaunchSpec) -> None:
         self._ensure_started()
-        tool = self.tool
-        if tool is None:
-            stats = self._execute(spec, instrumented=False)
-            self.run.add_launch(stats, repeat=1)
-            if spec.repeat > 1:
-                if spec.stateful:
-                    for _ in range(spec.repeat - 1):
-                        self.run.add_launch(
-                            self._execute(spec, instrumented=False))
-                else:
-                    self.run.add_launch(stats, repeat=spec.repeat - 1)
-            return
-
+        name = spec.code.name
         if spec.stateful:
             for _ in range(spec.repeat):
-                instrumented = tool.should_instrument(spec.code.name)
-                stats = self._execute(spec, instrumented)
-                self.run.add_launch(stats)
+                decisions = [obs.should_instrument(name)
+                             for obs in self.observers]
+                ex = self._execute(spec, decisions)
+                for obs, on in zip(self.observers, decisions):
+                    obs.run.add_launch(obs.account(spec, ex, on))
             return
+        # Stateless: poll every invocation's decisions (each tool's
+        # Algorithm-3 counters advance once per logical invocation),
+        # then execute once for every observer that instruments any.
+        decisions = [[obs.should_instrument(name)
+                      for _ in range(spec.repeat)]
+                     for obs in self.observers]
+        ex = self._execute(spec, [any(d) for d in decisions])
+        for obs, obs_decisions in zip(self.observers, decisions):
+            self._account_repeats(obs, spec, ex, obs_decisions)
 
-        # Stateless repeats: decide instrumentation per logical invocation
-        # (the tool's Algorithm 3 counters advance for each), but simulate
-        # at most one uninstrumented, one cold-instrumented and one
-        # warm-instrumented execution.
-        plain_stats: LaunchStats | None = None
-        cold_stats: LaunchStats | None = None
-        warm_stats: LaunchStats | None = None
-        warm_pending = 0
-        for _ in range(spec.repeat):
-            instrumented = tool.should_instrument(spec.code.name)
+    def _account_repeats(self, obs: Observer, spec: LaunchSpec,
+                         ex: _Execution, decisions: "list[bool]") -> None:
+        """Fold a stateless spec's invocations into ``obs``'s run: the
+        uninstrumented invocations share one view of the execution, the
+        first two instrumented ones are accounted cold and warm, and
+        later ones repeat the warm counts."""
+        if obs.tool is None:
+            stats = obs.account(spec, ex, False)
+            obs.run.add_launch(stats, repeat=1)
+            if spec.repeat > 1:
+                obs.run.add_launch(stats, repeat=spec.repeat - 1)
+            return
+        plain: LaunchStats | None = None
+        warm: LaunchStats | None = None
+        replays = warm_pending = 0
+        for instrumented in decisions:
             if not instrumented:
-                if plain_stats is None:
-                    plain_stats = self._execute(spec, instrumented=False)
-                self.run.add_launch(plain_stats)
-            elif cold_stats is None:
-                cold_stats = self._execute(spec, instrumented=True)
-                self.run.add_launch(cold_stats)
-            elif warm_stats is None:
-                warm_stats = self._execute(spec, instrumented=True)
-                self.run.add_launch(warm_stats)
+                if plain is None:
+                    plain = obs.account(spec, ex, False)
+                obs.run.add_launch(plain)
+            elif replays < 2:
+                warm = obs.account(spec, ex, True)
+                replays += 1
+                obs.run.add_launch(warm)
             else:
                 warm_pending += 1
         if warm_pending:
-            self.run.add_launch(warm_stats, repeat=warm_pending)
+            obs.run.add_launch(warm, repeat=warm_pending)
 
     # -- launch-batched execution (megabatch) -------------------------------
 
@@ -330,10 +440,15 @@ class ToolRuntime:
         stacked megabatch pass; everything else falls back to the serial
         member loop, counted in ``megabatch.fallback``.  Unlike
         :meth:`run_program` this does not fire ``on_program_end``.
+        Batches run under one observer: a runtime with several raises
+        :class:`ValueError`.
         """
         specs = list(specs)
         if not specs:
             raise ValueError("run_batch needs at least one spec")
+        if len(self.observers) > 1:
+            raise ValueError("run_batch runs under one observer; this "
+                             f"runtime has {len(self.observers)}")
         with get_telemetry().span(SPAN_MEGABATCH,
                                   kernel=specs[0].code.name,
                                   members=len(specs)) as sp:
@@ -344,7 +459,8 @@ class ToolRuntime:
 
     def _run_batch(self, specs: "list[LaunchSpec]") -> BatchResult:
         self._ensure_started()
-        tool = self.tool
+        obs = self.observers[0]
+        tool = obs.tool
         n = len(specs)
         if n == 1:
             # Nothing to stack; run serially but do not call it a
@@ -372,33 +488,32 @@ class ToolRuntime:
             return self._serial_batch(specs, decisions,
                                       "mixed-instrumentation",
                                       count_fallback=True)
-        plan = self._plan_for(specs[0].code) if decisions[0] else None
-        decoded = self._decoded_for(specs[0].code, plan)
+        instrumented = decisions[0]
+        plans = [(0, obs.plan_for(specs[0].code))] if instrumented else []
+        decoded = self._decoded_for(specs[0].code, plans)
         if not decoded.cohort_ready:
             return self._serial_batch(specs, decisions, "not-cohort-ready",
                                       count_fallback=True)
         shadow_state = None
         if self.shadow is not None:
-            shadow_state = ShadowState(self.shadow, specs[0].code,
-                                       self.shadow_tracker)
-        stats_list, mega, channels = self.device._launch_megabatch(
+            shadow_state = ShadowState(self.shadow, specs[0].code)
+        ledgers = [Ledger(LaunchStats(), obs.channel) if instrumented
+                   else None for _ in specs]
+        base_list, mega = self.device._launch_megabatch(
             specs[0].code, specs[0].config,
-            [list(s.params) for s in specs], decoded, on_member=bind,
+            [list(s.params) for s in specs], decoded, ledgers,
             shadow=shadow_state)
         if shadow_state is not None:
-            self.shadow_tracker.add_checks(shadow_state.checks)
-        tel = get_telemetry()
-        for m, stats in enumerate(stats_list):
+            shadow_state.apply(obs.shadow_tracker)
+        stats_list = []
+        for m, (spec, base) in enumerate(zip(specs, base_list)):
             if bind is not None:
                 bind(m)
-            if tool is not None:
-                with tel.span(SPAN_NVBIT_DRAIN, kernel=specs[0].code.name,
-                              member=m) as sp:
-                    pending = channels[m].drain()
-                    if pending:
-                        tool.receive(pending)
-                    sp.set(messages=len(pending))
-            self.run.add_launch(stats)
+            stats = obs.account(spec, _Execution(base, [ledgers[m]]),
+                                instrumented)
+            obs.run.add_launch(stats)
+            stats_list.append(stats)
+        tel = get_telemetry()
         tel.count(CTR_MEGABATCH_BATCHES)
         tel.count(CTR_MEGABATCH_MEMBERS, n)
         return BatchResult("megabatch", n, stats_list, None, _mega=mega)
@@ -449,6 +564,7 @@ class ToolRuntime:
         """Member-by-member fallback: each member starts from the
         device's current state (snapshot/restore isolation) with the
         member-aware tool (if any) bound to it."""
+        obs = self.observers[0]
         bind = self._member_binder()
         init = self.device.snapshot_state()
         stats_list: list[LaunchStats | None] = []
@@ -459,8 +575,9 @@ class ToolRuntime:
             if bind is not None:
                 bind(m)
             if decisions is not None:
-                stats = self._execute(spec, decisions[m])
-                self.run.add_launch(stats)
+                ex = self._execute(spec, [decisions[m]])
+                stats = obs.account(spec, ex, decisions[m])
+                obs.run.add_launch(stats)
                 stats_list.append(stats)
             else:
                 self.launch(spec)
@@ -473,9 +590,15 @@ class ToolRuntime:
                            _snapshots=snapshots)
 
     def run_program(self, schedule: list[LaunchSpec]) -> RunStats:
-        """Run a whole launch schedule; returns the accumulated stats."""
+        """Run a whole launch schedule; returns observer 0's accumulated
+        stats (every observer's are on :attr:`observers`)."""
         for spec in schedule:
             self.launch(spec)
-        if self.tool is not None:
-            self.tool.on_program_end()
+        self.finish()
         return self.run
+
+    def finish(self) -> None:
+        """Fire every tool's end-of-program hook."""
+        for obs in self.observers:
+            if obs.tool is not None:
+                obs.tool.on_program_end()

@@ -20,6 +20,19 @@ GPU-FPX uses:
 - ``receive(messages)`` is the host-side channel receiver thread.
 - ``on_context_start(run)`` lets a tool charge one-time setup cost
   (GPU-FPX allocates the 4 MB GT table here).
+
+**The probe contract.**  An injected probe (a plan entry's ``fn`` or
+``cohort_fn``) reads warp state and charges cycles — nothing else.
+Every other effect (channel pushes, GT updates, counters, recorded
+events) goes through ``ctx.defer(...)``, whose emission runs after the
+launch, in canonical (block, barrier phase, warp, program order) order,
+against the tool's then-current host-side state.  Scratch that a later
+probe of the same execution consumes (the analyzer's before-hook
+capture) is the one exception.  The runtime relies on this: several
+tools observe one execution, and a repeated stateless launch's warm
+invocation is a replay of the cold invocation's emissions, not a second
+execution.  Every tool in this repository keeps the contract, and the
+fused-vs-solo tests hold them to it.
 """
 
 from __future__ import annotations

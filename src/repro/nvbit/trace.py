@@ -50,9 +50,6 @@ class SassTracer(NVBitTool):
 
     def _record(self, ictx: InjectionCtx) -> None:
         instr = ictx.instr
-        self.opcode_counts[instr.opcode] += 1
-        if len(self.entries) >= self.max_entries:
-            return
         value = None
         if self.capture_values:
             dest = instr.dest_reg()
@@ -64,10 +61,19 @@ class SassTracer(NVBitTool):
                             ictx.warp.read_f64_pair(dest)[lanes[0]])
                     else:
                         value = float(ictx.warp.read_f32(dest)[lanes[0]])
+        ictx.defer(self._append, (value, int(ictx.exec_mask.sum())))
+
+    def _append(self, ictx: InjectionCtx) -> None:
+        """Deferred half of :meth:`_record` (replayed after the launch)."""
+        value, active_lanes = ictx.args
+        instr = ictx.instr
+        self.opcode_counts[instr.opcode] += 1
+        if len(self.entries) >= self.max_entries:
+            return
         self.entries.append(TraceEntry(
             kernel=ictx.launch.code.name, pc=instr.pc,
             sass=instr.getSASS(),
-            active_lanes=int(ictx.exec_mask.sum()),
+            active_lanes=active_lanes,
             dest_value=value))
 
     def executed_opcodes(self) -> list[str]:

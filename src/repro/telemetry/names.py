@@ -129,8 +129,10 @@ CTR_EXCEPTIONS_PREFIX = "fpx.exceptions."
 #: performed, and lanes whose ULP error crossed the threshold.
 CTR_SHADOW_CHECKS = "fpx.shadow.checks"
 CTR_SHADOW_DIVERGENCES = "fpx.shadow.divergences"
-#: Built-schedule reuse inside ``measure_slowdowns`` (one build serves
-#: all four configurations; hit = a run that reused the build).
+#: Built-schedule reuse: a hit is a run that restored an existing build
+#: (``BuiltProgram.fresh`` after its first use).  ``measure_slowdowns``
+#: runs its four configurations as observers of one run, so a build it
+#: makes counts one miss and no hit.
 CTR_BUILD_CACHE_HIT = "harness.build.cache.hit"
 CTR_BUILD_CACHE_MISS = "harness.build.cache.miss"
 #: Parallel-sweep scheduler accounting.
@@ -243,7 +245,8 @@ METRIC_DOCS: dict[str, tuple[str, str]] = {
                                    "performed"),
     CTR_SHADOW_DIVERGENCES: ("counter", "lanes whose shadow ULP error "
                                         "crossed the threshold"),
-    CTR_BUILD_CACHE_HIT: ("counter", "built-schedule reuse hits"),
+    CTR_BUILD_CACHE_HIT: ("counter", "runs that restored an existing "
+                                     "build"),
     CTR_BUILD_CACHE_MISS: ("counter", "built-schedule reuse misses"),
     CTR_SWEEP_UNITS_OK: ("counter", "sweep units that succeeded"),
     CTR_SWEEP_UNITS_FAILED: ("counter", "sweep units that ultimately "

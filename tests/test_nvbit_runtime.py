@@ -1,14 +1,17 @@
 """ToolRuntime tests: interception, caching, work scaling, JIT charging."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
-from repro.fpx import DetectorConfig, FPXDetector
+from repro.fpx import DetectorConfig, FPXAnalyzer, FPXDetector
 from repro.gpu import Device, LaunchConfig
+from repro.harness.profile import _CountingTool
 from repro.nvbit import (InstrumentationPlan, LaunchSpec, NVBitTool,
-                         PlannedInjection)
+                         PlannedInjection, SassTracer)
 from repro.sass import KernelCode
-from tests.util import make_runtime
+from tests.util import RecBinFPE, RecDetector, make_runtime, stats_fields
 
 KERNEL = KernelCode.assemble("k", """
     FADD R1, RZ, 1.0 ;
@@ -80,19 +83,63 @@ class TestInterception:
         assert runtime.run.launches == 5
 
 
+#: Two warps per block; thread 40 divides by zero (INF, then NaN from
+#: INF*0) and every lane overflows, so every tool emits.
+REPLAY_KERNEL = KernelCode.assemble("replay_k", """
+    S2R R0, SR_TID.X ;
+    I2F R1, R0 ;
+    FADD R2, R1, -40.0 ;
+    MUFU.RCP R3, R2 ;
+    FMUL R4, R3, 0.0 ;
+    FADD R5, R1, 3e38 ;
+    FMUL R6, R5, 2.0 ;
+    EXIT ;
+""")
+
+#: Every tool in the repository.
+ALL_TOOLS = {
+    "detector": RecDetector,
+    "detector-no-gt": lambda: RecDetector(DetectorConfig(use_gt=False)),
+    "binfpe": RecBinFPE,
+    "analyzer": FPXAnalyzer,
+    "tracer": lambda: SassTracer(capture_values=True),
+    "counting": _CountingTool,
+}
+
+
+def _tool_state(tool):
+    """The host-side state a tool exposes (with its channel stream)."""
+    if isinstance(tool, FPXAnalyzer):
+        return tool.to_json(), tool.events_json(), tool.report_lines()
+    if isinstance(tool, SassTracer):
+        return tool.entries, dict(tool.opcode_counts)
+    if isinstance(tool, _CountingTool):
+        return dict(tool.category_counts), dict(tool.opcode_counts)
+    return tool.report().to_json(), tool.report().lines(), tool.messages
+
+
 class TestRepeatCaching:
     def test_repeat_equals_explicit_loop(self):
-        """Cached stateless repeats must account the same dynamic totals
-        as simulating each launch."""
-        r1 = make_runtime(Device(), FPXDetector())
-        r1.run_program([spec(repeat=12)])
-        r2 = make_runtime(Device(), FPXDetector())
-        r2.run_program([spec()] * 12)
-        assert r1.run.warp_instrs == r2.run.warp_instrs
-        assert r1.run.base_cycles == pytest.approx(r2.run.base_cycles)
-        assert r1.run.injected_cycles == pytest.approx(
-            r2.run.injected_cycles)
-        assert r1.run.jit_cycles == pytest.approx(r2.run.jit_cycles)
+        """A stateless ``repeat=N`` spec executes once and replays its
+        warm invocation.  For every tool and engine, its ``RunStats``
+        must equal N explicit launches, and the tool's state and channel
+        stream must equal two explicit launches (a cold and a warm
+        one)."""
+        one = LaunchSpec(REPLAY_KERNEL, LaunchConfig(2, 64))
+        for kind, make in ALL_TOOLS.items():
+            for warp_batch in (True, False):
+                def run(specs):
+                    tool = make()
+                    runtime = make_runtime(Device(), tool,
+                                           warp_batch=warp_batch)
+                    runtime.run_program(specs)
+                    return tool, stats_fields(runtime.run)
+
+                label = f"{kind}, warp_batch={warp_batch}"
+                repeated, stats = run([dataclasses.replace(one, repeat=5)])
+                assert stats == run([one] * 5)[1], label
+                assert _tool_state(repeated) == \
+                    _tool_state(run([one] * 2)[0]), label
 
     def test_warm_gt_repeat_messages(self):
         """With GT, repeated identical launches send the record once —
