@@ -9,8 +9,8 @@ quantitative the same way ``bench_telemetry_overhead`` does — a direct
 wall-clock A/B of two identical off-paths only measures scheduler
 noise, so the gate is a *projection*:
 
-- microbenchmark the disabled-path branch (``shadow is not None and
-  dop.shadow is not None`` with ``shadow`` bound to ``None``);
+- microbenchmark the disabled-path branch (``slots is not None and
+  slots[pc] is not None`` with ``slots`` bound to ``None``);
 - run a single unrepeated probe launch on the serial engine
   (``warp_batch=False``), where the guard runs exactly once per
   dynamic warp instruction — a count the session's own ``RunStats``
@@ -63,17 +63,17 @@ def _null_branch_cost() -> float:
     """Per-iteration seconds of the disabled-path guard.
 
     This is the exact shape of the executor's hot-path check: a local
-    bound to ``None`` and a decoded-op attribute, short-circuiting on
-    the first test.  The loop overhead is included, which only makes
-    the projection more conservative.
+    bound to ``None`` and a slot-table lookup, short-circuiting on the
+    first test.  The loop overhead is included, which only makes the
+    projection more conservative.
     """
-    shadow = None
-    dop_shadow = object()
+    slots = None
+    pc = 0
     best = float("inf")
     for _ in range(3):
         t0 = time.perf_counter()
         for _ in range(BRANCH_LOOPS):
-            if shadow is not None and dop_shadow is not None:
+            if slots is not None and slots[pc] is not None:
                 raise AssertionError("unreachable")
         best = min(best, time.perf_counter() - t0)
     return best / BRANCH_LOOPS

@@ -38,7 +38,7 @@ from ..fpx.records import (
     decode_record,
     encode_record,
 )
-from ..fpx.checks import CLASS_TO_KIND, any_exceptional_f32
+from ..fpx.checks import CLASS_TO_KIND
 from ..fpx.report import ExceptionReport
 
 __all__ = ["BinFPE"]
@@ -60,6 +60,7 @@ class BinFPE(NVBitTool):
 
     def plan_kernel(self, code: KernelCode) -> InstrumentationPlan:
         entries: list[PlannedInjection] = []
+        sass = code.sass_lines()
         for instr in code:
             if instr.opcode not in BINFPE_SUPPORTED_OPCODES:
                 continue
@@ -73,7 +74,7 @@ class BinFPE(NVBitTool):
             else:
                 fmt, regs = FPFormat.FP32, (dest,)
             loc = self.sites.register(
-                code.name, instr.pc, instr.getSASS(), instr.source_loc,
+                code.name, instr.pc, sass[instr.pc], instr.source_loc,
                 fmt, visible=code.has_source_info)
             entries.append(PlannedInjection(
                 instr.pc, "after", self._record_dest,
@@ -116,8 +117,7 @@ class BinFPE(NVBitTool):
         lanes = int(np.count_nonzero(mask))
         if lanes == 0:
             return
-        if fmt is FPFormat.FP32 and not any_exceptional_f32(
-                ictx.warp.read_u32(regs[0]), mask):
+        if fmt is FPFormat.FP32 and not ictx.screen_f32(regs[0]):
             counts = {}
         else:
             counts = self._exc_counts(
@@ -134,8 +134,7 @@ class BinFPE(NVBitTool):
         if not lanes.any():
             return
         kinds = None
-        if fmt is not FPFormat.FP32 or any_exceptional_f32(
-                cctx.cohort.read_u32(regs[0]), masks):
+        if fmt is not FPFormat.FP32 or cctx.screen_f32(regs[0]):
             kinds = self._classify(cctx.cohort, regs, fmt, is_rcp, masks)
         for i in range(cctx.n):
             if lanes[i]:

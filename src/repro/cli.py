@@ -70,14 +70,8 @@ import logging
 import sys
 
 from .compiler import CompileOptions
-from .fpx import AnalyzerConfig, DetectorConfig
-from .harness.runner import (
-    run_analyzer,
-    run_baseline,
-    run_binfpe,
-    run_detector,
-    stats_json,
-)
+from .fpx import DetectorConfig
+from .harness.runner import run_detector, run_workload, stats_json
 from .telemetry import (
     get_telemetry,
     metrics_snapshot,
@@ -203,50 +197,31 @@ def cmd_run(args) -> int:
     except KeyError:
         log.error("unknown program %r; try 'list'", args.program)
         return 2
-    options = _options(args)
-
     want_telemetry, scope = _telemetry_scope(args)
 
     payload: dict = {"program": program.name, "suite": program.suite,
                      "tool": args.tool, "fast_math": args.fast_math}
-    decode_cache = not args.no_decode_cache
-    warp_batch = not args.no_warp_batch
-    shadow = _shadow_arg(args)
+    config = None
+    if args.tool == "detector":
+        whitelist = frozenset(args.whitelist.split(",")) \
+            if args.whitelist else None
+        config = DetectorConfig(
+            use_gt=not args.no_gt,
+            on_device_check=not args.host_check,
+            freq_redn_factor=args.freq_redn_factor,
+            kernel_whitelist=whitelist)
     if args.profile_pcs:
         from .harness.profile import profile_pcs
         profile_cm = profile_pcs()
     else:
         profile_cm = contextlib.nullcontext(None)
     with scope as tel, profile_cm as ptable:
-        base = run_baseline(program, options=options,
-                            decode_cache=decode_cache,
-                            warp_batch=warp_batch)
-        analyzer = None
-        if args.tool == "binfpe":
-            report, stats = run_binfpe(program, options=options,
-                                       decode_cache=decode_cache,
-                                       warp_batch=warp_batch,
-                                       shadow=shadow)
-        elif args.tool == "analyzer":
-            analyzer, stats = run_analyzer(program, options=options,
-                                           config=AnalyzerConfig(),
-                                           decode_cache=decode_cache,
-                                           warp_batch=warp_batch,
-                                           shadow=shadow)
-            report = None
-        else:
-            whitelist = frozenset(args.whitelist.split(",")) \
-                if args.whitelist else None
-            config = DetectorConfig(
-                use_gt=not args.no_gt,
-                on_device_check=not args.host_check,
-                freq_redn_factor=args.freq_redn_factor,
-                kernel_whitelist=whitelist)
-            report, stats = run_detector(program, options=options,
-                                         config=config,
-                                         decode_cache=decode_cache,
-                                         warp_batch=warp_batch,
-                                         shadow=shadow)
+        base, stats, report, analyzer = run_workload(
+            program, args.tool, options=_options(args),
+            detector_config=config,
+            decode_cache=not args.no_decode_cache,
+            warp_batch=not args.no_warp_batch,
+            shadow=_shadow_arg(args))
 
     _export_telemetry(args, tel)
 

@@ -168,13 +168,14 @@ class FPXAnalyzer(NVBitTool):
         # after-hook), so cohort-batched launches fall back to the serial
         # per-warp engine automatically.
         entries: list[PlannedInjection] = []
+        sass = code.sass_lines()
         for instr in code:
             sel = select_check(instr)
             if sel is None and instr.category not in _CTRL_CATEGORIES:
                 continue
             width = _operand_width(instr)
             fmt = FPFormat.FP64 if width == 64 else FPFormat.FP32
-            self.sites.register(code.name, instr.pc, instr.getSASS(),
+            self.sites.register(code.name, instr.pc, sass[instr.pc],
                                 instr.source_loc, fmt,
                                 visible=code.has_source_info)
             compile_e = compile_time_exception(instr)
@@ -240,10 +241,11 @@ class FPXAnalyzer(NVBitTool):
         observation (replayed after the launch, in execution order)."""
         state, fmt, classes_before, classes_after = ictx.args
         instr = ictx.instr
+        code = ictx.launch.code
+        sass = code.sass_lines()[instr.pc]
         site = self.sites.site(self.sites.register(
-            ictx.launch.code.name, instr.pc, instr.getSASS(),
-            instr.source_loc, fmt,
-            visible=ictx.launch.code.has_source_info))
+            code.name, instr.pc, sass, instr.source_loc, fmt,
+            visible=code.has_source_info))
         self.state_counts[(site.kernel_name, instr.pc)][state] += 1
         tel = get_telemetry()
         tel.count(CTR_FLOW_EVENTS)
@@ -259,7 +261,7 @@ class FPXAnalyzer(NVBitTool):
                 state=state,
                 kernel_name=site.kernel_name,
                 pc=instr.pc,
-                sass=instr.getSASS(),
+                sass=sass,
                 where=site.where,
                 classes_before=classes_before,
                 classes_after=classes_after,

@@ -13,10 +13,13 @@ Each function returns a per-lane array of :class:`ExceptionKind` codes
 of a reciprocal ("it is essential to verify if the opcode is
 MUFU.RCP(64H) and the destination register holds a NaN or INF value").
 
-The FP32 probes screen first (:func:`any_exceptional_f32`): one fused
-bit test over the destination, and the full classification only when
-some executing lane is NaN, INF or subnormal — the common case of a
-clean destination costs a handful of array operations.
+The FP32 probes screen first: ``ctx.screen_f32(reg)`` on the probe's
+injection context runs one fused bit test over the destination
+(:func:`repro.sass.fpenc.exceptional_f32`) once per dispatch, shared by
+every observer probing that register, and the full classification
+here runs only when some executing lane is NaN, INF or subnormal — the
+common case of a clean destination costs a handful of array operations
+per dispatch, not per probe.
 """
 
 from __future__ import annotations
@@ -41,38 +44,12 @@ __all__ = [
     "check_32_div0",
     "check_64_div0",
     "CLASS_TO_KIND",
-    "exceptional_f32",
-    "any_exceptional_f32",
 ]
 
 #: fpenc class codes (VAL/NAN/INF/SUB) map 1:1 onto ExceptionKind values.
 CLASS_TO_KIND = np.array([int(ExceptionKind.NONE), int(ExceptionKind.NAN),
                           int(ExceptionKind.INF), int(ExceptionKind.SUB)],
                          dtype=np.uint8)
-
-_SCREEN_BIAS = np.uint32(0x01000000)
-_SCREEN_TOP = np.uint32(0x02000000)
-
-
-def exceptional_f32(bits: np.ndarray) -> np.ndarray:
-    """Per-lane NaN/INF/subnormal flags of FP32 register bits.
-
-    ``z = (u << 1) + 0x01000000`` in wrapping ``uint32`` drops the sign
-    and adds one to the exponent field, so the two exceptional
-    exponents, 0xFF (NaN/INF) and 0x00 (subnormal), become the two
-    lowest: ``z < 0x02000000``.  ``z != 0x01000000`` leaves out ±0.
-    """
-    z = bits << np.uint32(1)
-    z += _SCREEN_BIAS
-    return (z < _SCREEN_TOP) & (z != _SCREEN_BIAS)
-
-
-def any_exceptional_f32(bits: np.ndarray, mask: np.ndarray) -> bool:
-    """The FP32 probes' screen: True when some lane under ``mask``
-    holds a NaN, INF or subnormal (when False, no check can fire)."""
-    hit = exceptional_f32(bits)
-    hit &= mask
-    return bool(hit.any())
 
 
 def check_32_nan_inf_sub(warp: Warp, dest: int) -> np.ndarray:

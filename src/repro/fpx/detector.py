@@ -25,7 +25,6 @@ from ..sass.program import KernelCode
 from ..telemetry import get_telemetry
 from ..telemetry.names import CTR_EXCEPTIONS_PREFIX, EVT_EXCEPTION
 from .checks import (
-    any_exceptional_f32,
     check_16_nan_inf_sub,
     check_32_div0,
     check_32_nan_inf_sub,
@@ -196,6 +195,7 @@ class FPXDetector(NVBitTool):
     def plan_kernel(self, code: KernelCode) -> InstrumentationPlan:
         """Algorithm 1, declaratively: one planned check per FP site."""
         entries: list[PlannedInjection] = []
+        sass = code.sass_lines()
         for instr in code:
             sel = select_check(instr)
             if sel is None:
@@ -205,7 +205,7 @@ class FPXDetector(NVBitTool):
                 continue
             fmt = _FMT_OF_MODE[mode]
             loc = self.sites.register(
-                code.name, instr.pc, instr.getSASS(), instr.source_loc,
+                code.name, instr.pc, sass[instr.pc], instr.source_loc,
                 fmt, visible=code.has_source_info)
             entries.append(PlannedInjection(
                 instr.pc, "after", self._device_check,
@@ -237,8 +237,7 @@ class FPXDetector(NVBitTool):
                        (loc, fmt, self._kind_counts(e), lanes))
             return
         ictx.charge(ictx.launch.cost.device_check_cycles)
-        if mode in _F32_MODES and not any_exceptional_f32(
-                ictx.warp.read_u32(regs[0]), ictx.exec_mask):
+        if mode in _F32_MODES and not ictx.screen_f32(regs[0]):
             return
         e = run_check(mode, ictx.warp, regs)
         e = np.where(ictx.exec_mask, e, np.uint8(0))
@@ -265,8 +264,7 @@ class FPXDetector(NVBitTool):
                                 int(lanes[i])))
             return
         cctx.charge_per_warp(cctx.launch.cost.device_check_cycles)
-        if mode in _F32_MODES and not any_exceptional_f32(
-                cctx.cohort.read_u32(regs[0]), masks):
+        if mode in _F32_MODES and not cctx.screen_f32(regs[0]):
             return
         e = run_check(mode, cctx.cohort, regs)
         e = np.where(masks, e, np.uint8(0))

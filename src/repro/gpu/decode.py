@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import Callable, TYPE_CHECKING
+from typing import Callable, Sequence, TYPE_CHECKING
 
 import numpy as np
 
@@ -49,7 +49,6 @@ from .executor import (
     fp_compare,
 )
 from .sfu import mufu_f32, mufu_rcp64h
-from .shadow import shadow_slots
 from .warp import WARP_SIZE
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -107,12 +106,6 @@ class DecodedOp:
     #: Fused injection slots — empty tuples on the bare decoded program.
     before: tuple[Injection, ...] = ()
     after: tuple[Injection, ...] = ()
-    #: Static shadow-plane behaviour at this pc (``ShadowSlot`` from
-    #: :mod:`repro.gpu.shadow`), or ``None`` when the shadow ignores the
-    #: op entirely.  Resolved unconditionally — slots are cheap, static
-    #: and launch-independent — so the decode-cache key is unchanged and
-    #: a cached program works for shadow-on and shadow-off sessions.
-    shadow: object = None
 
 
 @dataclass
@@ -143,51 +136,48 @@ def decode_program(code: KernelCode) -> DecodedProgram:
     if cached is not None:
         return cached
     ops = tuple(_decode_instr(code, instr) for instr in code.instructions)
-    slots = shadow_slots(code)
-    for op in ops:
-        op.shadow = slots[op.pc]
     prog = DecodedProgram(code.name, code, ops)
     code._decoded_bare = prog
     return prog
 
 
-def fuse_plan(prog: DecodedProgram, plan: "InstrumentationPlan",
-              observer: int = 0) -> DecodedProgram:
-    """Bind observer ``observer``'s declarative plan into per-op
-    injection slots.
+def fuse_plan(prog: DecodedProgram,
+              plans: "Sequence[tuple[int, InstrumentationPlan]]"
+              ) -> DecodedProgram:
+    """Overlay every observer's declarative plan onto the bare decode
+    ``prog``, in one pass.
 
-    Fusing onto an already-fused program overlays the plans: each op
-    keeps the earlier observers' injections and appends this one's, and
-    every :class:`~repro.gpu.executor.Injection` carries its observer so
-    the engines charge the right ledger.  Returns a new program (the
-    bare decode stays shareable); fusion is a cheap O(ops) pass, so
-    re-fusing after a decode-cache hit on the bare program still skips
-    all per-instruction resolution work.  Ops with no injection are the
-    input program's own (immutable in use) objects.
+    ``plans`` holds ``(observer, plan)`` pairs in observer order; a solo
+    run is the one-pair case.  Each injected op gets its injections in
+    observer order (each observer's in plan order), and every
+    :class:`~repro.gpu.executor.Injection` carries its observer so the
+    engines charge the right ledger.  Returns a new program (the bare
+    decode stays shareable); ops with no injection are the bare
+    program's own (immutable in use) objects, and each injected op is
+    copied once whatever the number of observers.
     """
     before: dict[int, list[Injection]] = {}
     after: dict[int, list[Injection]] = {}
-    for entry in plan.entries:
-        bucket = before if entry.when == "before" else after
-        bucket.setdefault(entry.pc, []).append(
-            Injection(entry.when, entry.fn, entry.args,
-                      getattr(entry, "cohort_fn", None), observer))
-    ops = tuple(
-        dataclasses.replace(op,
-                            before=op.before + tuple(before.get(op.pc, ())),
-                            after=op.after + tuple(after.get(op.pc, ())))
-        if op.pc in before or op.pc in after else op
-        for op in prog.ops)
-    cohort_ready = all(
-        op.vectorizable and all(inj.cohort_fn is not None
-                                for inj in op.before + op.after)
-        for op in ops if op.before or op.after)
-    tag = plan.fingerprint if observer == 0 \
-        else f"{observer}:{plan.fingerprint}"
-    if prog.instrumented:
-        tag = f"{prog.plan_fingerprint}|{tag}"
-    return DecodedProgram(prog.name, prog.code, ops, instrumented=True,
-                          plan_fingerprint=tag,
+    tags = []
+    for observer, plan in plans:
+        for entry in plan.entries:
+            bucket = before if entry.when == "before" else after
+            bucket.setdefault(entry.pc, []).append(
+                Injection(entry.when, entry.fn, entry.args,
+                          getattr(entry, "cohort_fn", None), observer))
+        tags.append(plan.fingerprint if observer == 0
+                    else f"{observer}:{plan.fingerprint}")
+    ops = list(prog.ops)
+    cohort_ready = True
+    for pc in before.keys() | after.keys():
+        op = ops[pc]
+        op = ops[pc] = dataclasses.replace(
+            op, before=tuple(before.get(pc, ())),
+            after=tuple(after.get(pc, ())))
+        cohort_ready = cohort_ready and op.vectorizable and all(
+            inj.cohort_fn is not None for inj in op.before + op.after)
+    return DecodedProgram(prog.name, prog.code, tuple(ops),
+                          instrumented=True, plan_fingerprint="|".join(tags),
                           cohort_ready=cohort_ready)
 
 

@@ -35,6 +35,7 @@ from typing import Callable, TYPE_CHECKING
 
 import numpy as np
 
+from ..sass.fpenc import exceptional_f32
 from ..sass.instruction import Instruction
 from ..sass.operands import Operand, OperandType, RZ
 from ..sass.program import KernelCode
@@ -43,7 +44,6 @@ from ..telemetry.names import CTR_CHANNEL_BYTES, CTR_DIVERGENT_BRANCHES
 from .cost import CostModel, LaunchStats
 from .memory import ConstBanks, GlobalMemory, SharedMemory
 from .sfu import mufu_f32, mufu_rcp64h
-from .shadow import shadow_slots
 from .warp import FULL_MASK, WARP_SIZE, CohortView, Warp, WarpSet
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -110,9 +110,12 @@ class Ledger:
 
 def replay(emissions: list, ledger: Ledger) -> None:
     """Run deferred emissions, in order, against ``ledger``: their
-    charges and pushes land in its stats and channel."""
-    for launch, fn, warp, instr, mask, args in emissions:
-        fn(InjectionCtx(launch, ledger, warp, instr, mask, args))
+    charges and pushes land in its stats and channel.  One context
+    serves every emission, rebound to each in turn."""
+    ctx = InjectionCtx(None, ledger, None, None, None)
+    for ctx.launch, fn, ctx.warp, ctx.instr, ctx.exec_mask, ctx.args \
+            in emissions:
+        fn(ctx)
 
 
 def _charge_calls(launch: "LaunchContext", calls: list[int]) -> None:
@@ -167,14 +170,23 @@ class LaunchContext:
     shadow: "object | None" = None
 
 
+def _exceptional_under(bits: np.ndarray, mask: np.ndarray) -> bool:
+    hit = exceptional_f32(bits)
+    hit &= mask
+    return bool(hit.any())
+
+
 @dataclass(slots=True)
 class InjectionCtx:
     """Argument bundle passed to injected device functions.
 
     A probe reads warp state now and charges its observer's ledger;
     anything it emits (channel pushes, tool-state updates) goes through
-    :meth:`defer`.  Replayed emissions get a context of this type too,
-    whose ledger is the invocation being accounted.
+    :meth:`defer`.  The engines build one context per warp and dispatch
+    phase (before or after one op's execute) and rebind ``ledger`` and
+    ``args`` for each probe of that phase, so a probe must not keep its
+    context after it returns.  Replayed emissions get a context of this
+    type too, whose ledger is the invocation being accounted.
     """
 
     launch: LaunchContext
@@ -183,6 +195,19 @@ class InjectionCtx:
     instr: Instruction
     exec_mask: np.ndarray
     args: tuple = ()
+    #: :meth:`screen_f32` answers by register, for this context's life.
+    _screens: dict = field(default_factory=dict, repr=False)
+
+    def screen_f32(self, reg: int) -> bool:
+        """True when some lane under ``exec_mask`` holds a NaN, INF or
+        subnormal in FP32 register ``reg`` (when False, no FP32 check
+        on it can fire).  Every probe of this dispatch phase shares one
+        bit test per register."""
+        hit = self._screens.get(reg)
+        if hit is None:
+            hit = self._screens[reg] = _exceptional_under(
+                self.warp.read_u32(reg), self.exec_mask)
+        return hit
 
     def charge(self, cycles: float) -> None:
         """Charge device cycles to this launch (tool-side overhead)."""
@@ -250,11 +275,22 @@ class CohortInjectionCtx:
     #: flat cohort-wide charge would land on one member's ledger).  ``None``
     #: outside the megabatch engine.
     row_stats: "tuple[LaunchStats, ...] | None" = None
+    #: :meth:`screen_f32` answers by register, for this context's life.
+    _screens: dict = field(default_factory=dict, repr=False)
 
     @property
     def n(self) -> int:
         """Number of warps in the cohort."""
         return self.exec_masks.shape[0]
+
+    def screen_f32(self, reg: int) -> bool:
+        """:meth:`InjectionCtx.screen_f32` over the whole cohort: True
+        when some lane of some row under ``exec_masks`` is exceptional."""
+        hit = self._screens.get(reg)
+        if hit is None:
+            hit = self._screens[reg] = _exceptional_under(
+                self.cohort.read_u32(reg), self.exec_masks)
+        return hit
 
     def charge(self, cycles: float) -> None:
         """Charge device cycles to this launch (tool-side overhead)."""
@@ -494,7 +530,7 @@ class _WarpRunner:
         before = launch.before
         after = launch.after
         shadow = launch.shadow
-        slots = shadow_slots(self.code) if shadow is not None else None
+        slots = shadow.slots if shadow is not None else None
         warp.at_barrier = False
         while not warp.done:
             pc = warp.pc
@@ -571,6 +607,7 @@ class _WarpRunner:
         stats = launch.stats
         ledgers = launch.ledgers
         shadow = launch.shadow
+        slots = shadow.slots if shadow is not None else None
         count_nonzero = np.count_nonzero
         ops = prog.ops
         n = len(ops)
@@ -618,20 +655,28 @@ class _WarpRunner:
                 if _PROFILE is not None:
                     _PROFILE.add(self.code.name, pc, dop.opcode, dop.cycles)
 
-                for inj in dop.before:
-                    calls[inj.observer] += 1
-                    inj.fn(InjectionCtx(launch, ledgers[inj.observer], warp,
-                                        dop.instr, exec_mask, inj.args))
+                if dop.before:
+                    ctx = InjectionCtx(launch, None, warp, dop.instr,
+                                       exec_mask)
+                    for inj in dop.before:
+                        calls[inj.observer] += 1
+                        ctx.ledger = ledgers[inj.observer]
+                        ctx.args = inj.args
+                        inj.fn(ctx)
 
-                if shadow is not None and dop.shadow is not None:
+                if slots is not None and slots[pc] is not None:
                     advanced = shadow.run_op(dop, self, exec_mask)
                 else:
                     advanced = dop.execute(self, exec_mask)
 
-                for inj in dop.after:
-                    calls[inj.observer] += 1
-                    inj.fn(InjectionCtx(launch, ledgers[inj.observer], warp,
-                                        dop.instr, exec_mask, inj.args))
+                if dop.after:
+                    ctx = InjectionCtx(launch, None, warp, dop.instr,
+                                       exec_mask)
+                    for inj in dop.after:
+                        calls[inj.observer] += 1
+                        ctx.ledger = ledgers[inj.observer]
+                        ctx.args = inj.args
+                        inj.fn(ctx)
 
                 if warp.at_barrier:
                     return
@@ -1348,8 +1393,10 @@ def _execute_launch_batched(launch: LaunchContext, warps_per_block: int,
     conv = _Convergence(warps)
     shim = _CohortRunner(launch)
     shadow = launch.shadow
+    slots = None
     if shadow is not None:
         shadow.attach(wset, warps)
+        slots = shadow.slots
     #: Barrier phase per warp — the replay sort key's second component
     #: (the serial engine finishes every warp's phase k before phase
     #: k+1 of any warp in the block).
@@ -1407,24 +1454,32 @@ def _execute_launch_batched(launch: LaunchContext, warps_per_block: int,
                             wp.block_id, phase[i], wp.warp_id, seq, launch,
                             fn, wp, _instr, _masks[row], args))
                         seq += 1
-                    for inj in dop.before:
-                        calls[inj.observer] += n
-                        inj.cohort_fn(CohortInjectionCtx(
-                            launch, ledgers[inj.observer], view, dop.instr,
-                            masks, inj.args, _defer))
+                    if dop.before:
+                        cctx = CohortInjectionCtx(launch, None, view,
+                                                  dop.instr, masks,
+                                                  _defer=_defer)
+                        for inj in dop.before:
+                            calls[inj.observer] += n
+                            cctx.ledger = ledgers[inj.observer]
+                            cctx.args = inj.args
+                            inj.cohort_fn(cctx)
                     shim.warp = view
-                    if shadow is not None and dop.shadow is not None:
+                    if slots is not None and slots[pc] is not None:
                         shadow.run_cohort(dop, shim, masks, idx)
                     else:
                         dop.execute(shim, masks)
-                    for inj in dop.after:
-                        calls[inj.observer] += n
-                        inj.cohort_fn(CohortInjectionCtx(
-                            launch, ledgers[inj.observer], view, dop.instr,
-                            masks, inj.args, _defer))
+                    if dop.after:
+                        cctx = CohortInjectionCtx(launch, None, view,
+                                                  dop.instr, masks,
+                                                  _defer=_defer)
+                        for inj in dop.after:
+                            calls[inj.observer] += n
+                            cctx.ledger = ledgers[inj.observer]
+                            cctx.args = inj.args
+                            inj.cohort_fn(cctx)
                 else:
                     shim.warp = view
-                    if shadow is not None and dop.shadow is not None:
+                    if slots is not None and slots[pc] is not None:
                         shadow.run_cohort(dop, shim, masks, idx)
                     else:
                         dop.execute(shim, masks)
@@ -1449,7 +1504,7 @@ def _execute_launch_batched(launch: LaunchContext, warps_per_block: int,
                         fp_threads += lanes
                     if _PROFILE is not None:
                         _PROFILE.add(code.name, pc, dop.opcode, dop.cycles)
-                    if shadow is not None and dop.shadow is not None:
+                    if slots is not None and slots[pc] is not None:
                         advanced = shadow.run_op(dop, runners[i], mask)
                     else:
                         advanced = dop.execute(runners[i], mask)
@@ -1557,8 +1612,10 @@ def execute_megabatch(member_ctxs: "list[LaunchContext]",
         decoded=decoded)
     shim = _CohortRunner(batch)
     shadow = template.shadow
+    slots = None
     if shadow is not None:
         shadow.attach(wset, warps)
+        slots = shadow.slots
     member_ledgers = [ctx.ledgers[0] if ctx.ledgers else None
                       for ctx in member_ctxs]
     member_base = np.array([mega.member_offset(m) for m in range(n_members)],
@@ -1646,24 +1703,30 @@ def execute_megabatch(member_ctxs: "list[LaunchContext]",
                                 member_ctxs[wp.member], fn, wp, _instr,
                                 _masks[row], args))
                             seq += 1
-                        for inj in dop.before:
-                            inj.cohort_fn(CohortInjectionCtx(
-                                ectx, ectx.ledgers[inj.observer], view,
-                                dop.instr, masks, inj.args, _defer,
-                                row_stats))
+                        if dop.before:
+                            cctx = CohortInjectionCtx(
+                                ectx, None, view, dop.instr, masks,
+                                _defer=_defer, row_stats=row_stats)
+                            for inj in dop.before:
+                                cctx.ledger = ectx.ledgers[inj.observer]
+                                cctx.args = inj.args
+                                inj.cohort_fn(cctx)
                         shim.warp = view
-                        if shadow is not None and dop.shadow is not None:
+                        if slots is not None and slots[pc] is not None:
                             shadow.run_cohort(dop, shim, masks, idx)
                         else:
                             dop.execute(shim, masks)
-                        for inj in dop.after:
-                            inj.cohort_fn(CohortInjectionCtx(
-                                ectx, ectx.ledgers[inj.observer], view,
-                                dop.instr, masks, inj.args, _defer,
-                                row_stats))
+                        if dop.after:
+                            cctx = CohortInjectionCtx(
+                                ectx, None, view, dop.instr, masks,
+                                _defer=_defer, row_stats=row_stats)
+                            for inj in dop.after:
+                                cctx.ledger = ectx.ledgers[inj.observer]
+                                cctx.args = inj.args
+                                inj.cohort_fn(cctx)
                     else:
                         shim.warp = view
-                        if shadow is not None and dop.shadow is not None:
+                        if slots is not None and slots[pc] is not None:
                             shadow.run_cohort(dop, shim, masks, idx)
                         else:
                             dop.execute(shim, masks)
@@ -1689,7 +1752,7 @@ def execute_megabatch(member_ctxs: "list[LaunchContext]",
                             fp_idle[i] += WARP_SIZE - lanes
                     if _PROFILE is not None:
                         _PROFILE.add(code.name, pc, dop.opcode, dop.cycles)
-                    if shadow is not None and dop.shadow is not None:
+                    if slots is not None and slots[pc] is not None:
                         advanced = shadow.run_op(dop, runners[i], mask)
                     else:
                         advanced = dop.execute(runners[i], mask)

@@ -281,14 +281,13 @@ def _src64(op):
     return ("const", v)
 
 
-def _kill_slot(instr, kills):
+def _kill_slot(instr, sass, kills):
     return ShadowSlot("kill", None, kills=tuple(k for k in kills
                                                 if k != RZ),
-                      pc=instr.pc, sass=instr.getSASS(),
-                      source_loc=instr.source_loc)
+                      pc=instr.pc, sass=sass, source_loc=instr.source_loc)
 
 
-def _build(instr) -> ShadowSlot | None:
+def _build(instr, sass) -> ShadowSlot | None:
     opcode = instr.opcode
     if opcode in _NO_SHADOW:
         return None
@@ -296,8 +295,7 @@ def _build(instr) -> ShadowSlot | None:
     if dest is None:
         return None
 
-    common = dict(pc=instr.pc, sass=instr.getSASS(),
-                  source_loc=instr.source_loc)
+    common = dict(pc=instr.pc, sass=sass, source_loc=instr.source_loc)
 
     if opcode in _F32_FNS:
         if dest == RZ:
@@ -313,7 +311,7 @@ def _build(instr) -> ShadowSlot | None:
         if func == "RCP64H" or func is None:
             # RCP64H writes the high half of an *approximate* FP64
             # reciprocal seed; an exact shadow would flag every use.
-            return _kill_slot(instr, (dest,))
+            return _kill_slot(instr, sass, (dest,))
         if dest == RZ:
             return None
         ftz = instr.has_modifier("FTZ")
@@ -345,44 +343,50 @@ def _build(instr) -> ShadowSlot | None:
         if src.type is OperandType.REG and not src.negated \
                 and not src.absolute and src.num != RZ:
             return ShadowSlot("mov32", dest, (("reg", src.num),), **common)
-        return _kill_slot(instr, (dest,))
+        return _kill_slot(instr, sass, (dest,))
 
     if opcode in _KILL_DEST:
-        return _kill_slot(instr, (dest,))
+        return _kill_slot(instr, sass, (dest,))
     if opcode == "F2F":
         widths = [m for m in instr.modifiers if m in ("F16", "F32", "F64")]
         wide = widths and widths[0] == "F64"
-        return _kill_slot(instr, (dest, dest + 1) if wide else (dest,))
+        return _kill_slot(instr, sass, (dest, dest + 1) if wide else (dest,))
     if opcode == "I2F":
         wide = "F64" in instr.modifiers
-        return _kill_slot(instr, (dest, dest + 1) if wide else (dest,))
+        return _kill_slot(instr, sass, (dest, dest + 1) if wide else (dest,))
     if opcode == "IMAD":
         wide = "WIDE" in instr.modifiers
-        return _kill_slot(instr, (dest, dest + 1) if wide else (dest,))
+        return _kill_slot(instr, sass, (dest, dest + 1) if wide else (dest,))
     if opcode in ("LDG", "LDC"):
         wide = "64" in instr.modifiers
-        return _kill_slot(instr, (dest, dest + 1) if wide else (dest,))
+        return _kill_slot(instr, sass, (dest, dest + 1) if wide else (dest,))
     # Unknown register writer: be conservative, the shadow dies.
-    return _kill_slot(instr, (dest,))
+    return _kill_slot(instr, sass, (dest,))
 
 
-def build_shadow_slot(instr) -> ShadowSlot | None:
-    """Resolve one instruction's shadow behaviour (never raises)."""
+def build_shadow_slot(instr, sass: str) -> ShadowSlot | None:
+    """Resolve one instruction's shadow behaviour (never raises);
+    ``sass`` is its rendered text (``KernelCode.sass_lines``)."""
     try:
-        return _build(instr)
+        return _build(instr, sass)
     except Exception:
         dest = instr.dest_reg()
         if dest is None or dest == RZ:
             return None
-        return _kill_slot(instr, (dest,))
+        return _kill_slot(instr, sass, (dest,))
 
 
 def shadow_slots(code) -> tuple:
-    """Per-pc shadow slots for a kernel, memoised on the code object."""
+    """Per-pc shadow slots for a kernel, memoised on the code object.
+
+    Built on first use by a shadow plane (:class:`ShadowState`) or a
+    coverage preview, never by decode: a shadow-off run builds none.
+    """
     cached = getattr(code, "_shadow_slots", None)
     if cached is not None:
         return cached
-    slots = tuple(build_shadow_slot(instr) for instr in code.instructions)
+    slots = tuple(build_shadow_slot(instr, sass) for instr, sass
+                  in zip(code.instructions, code.sass_lines()))
     code._shadow_slots = slots
     return slots
 
@@ -540,6 +544,9 @@ class ShadowState:
         self.config = config
         self.threshold = int(config.ulp_threshold)
         self.kernel = code.name
+        #: Per-pc :class:`ShadowSlot` (``None`` where the plane ignores
+        #: the op); the engines test ``slots[pc]`` before each execute.
+        self.slots = shadow_slots(code)
         self.checks = 0
         #: ``(slot, count, max_ulp, member)`` divergences in execution
         #: order; ``member=None`` means the tracker's bound member.
@@ -597,7 +604,7 @@ class ShadowState:
 
     def run_op(self, dop, st, mask):
         """Serial-path hook around one decoded op's execute."""
-        slot = dop.shadow
+        slot = self.slots[dop.pc]
         view = self._warp_view(st.warp)
         members = (self._warp_member(st.warp),)
         pending = self._pre(slot, view, st, mask)
@@ -616,7 +623,7 @@ class ShadowState:
 
     def run_cohort(self, dop, st, masks, rows):
         """Stacked-path hook around one cohort execute."""
-        slot = dop.shadow
+        slot = self.slots[dop.pc]
         view = _StackShadow(self._stacked_vals, self._stacked_ok,
                             self._f64_rows, rows)
         if self._member_of is None:

@@ -7,7 +7,7 @@ it).  Build work is visible as ``harness.build`` spans plus the
 ``harness.build.cache.{hit,miss}`` counters (a hit is a run that reused
 an existing build).  Where one program runs under several
 configurations — :func:`measure_slowdowns`' four, or
-:func:`run_workload_json`'s baseline and tool — one session observes a
+:func:`run_workload`'s baseline and tool — one session observes a
 single execution with every configuration at once
 (:class:`repro.api.Session` with a list of tools).
 
@@ -53,6 +53,7 @@ __all__ = [
     "run_detector",
     "run_binfpe",
     "run_analyzer",
+    "run_workload",
     "run_workload_json",
     "stats_json",
     "measured_counts",
@@ -239,6 +240,51 @@ def stats_json(stats: RunStats, base: RunStats) -> dict:
     }
 
 
+def run_workload(program: Program, tool: str = "detector", *,
+                 options: CompileOptions | None = None,
+                 detector_config: DetectorConfig | None = None,
+                 decode_cache: bool = True,
+                 warp_batch: bool = True,
+                 shadow=None) -> tuple:
+    """Run ``program`` under ``tool`` (``"detector"``, ``"binfpe"`` or
+    ``"analyzer"``) the way ``repro run`` and the job service do.
+
+    The program is built once, and the baseline (observer 0) and the
+    tool (observer 1) observe one execution under the tool's ``run.*``
+    span.  Returns ``(base, stats, report, analyzer)``: the baseline's
+    and the tool's :class:`RunStats`, then the tool's
+    :class:`ExceptionReport` (shadow findings attached) and ``None``,
+    or for the analyzer ``None`` and the :class:`FPXAnalyzer`.  Raises
+    :class:`ValueError` for an unknown tool.
+    """
+    if tool == "binfpe":
+        instance, span = BinFPE(), SPAN_RUN_BINFPE
+    elif tool == "analyzer":
+        instance, span = FPXAnalyzer(AnalyzerConfig()), SPAN_RUN_ANALYZER
+    elif tool == "detector":
+        instance, span = FPXDetector(detector_config), SPAN_RUN_DETECTOR
+    else:
+        raise ValueError(f"unknown tool {tool!r}; expected "
+                         f"detector, analyzer or binfpe")
+    built = _built_for(program, None, options, None)
+    with get_telemetry().span(span, program=program.name,
+                              suite=program.suite) as sp:
+        _, session = _execute(built, [None, instance], decode_cache,
+                              warp_batch, shadow)
+        base, stats = session.observer_stats(0), session.observer_stats(1)
+        if tool == "analyzer":
+            report, analyzer = None, instance
+            sp.set(launches=stats.launches,
+                   flow_events=len(instance.events),
+                   cycles=stats.total_cycles)
+        else:
+            report, analyzer = session.report(observer=1), None
+            sp.set(launches=stats.launches, records=report.total(),
+                   channel_messages=stats.channel_messages,
+                   cycles=stats.total_cycles)
+    return base, stats, report, analyzer
+
+
 def run_workload_json(program_name: str, tool: str = "detector", *,
                       fast_math: bool = False,
                       detector_config: DetectorConfig | None = None,
@@ -250,37 +296,24 @@ def run_workload_json(program_name: str, tool: str = "detector", *,
     This is the single producer of the ``repro.serve`` workload job
     payload, the same structure the CLI's ``run --json`` prints,
     byte-identical for the same program/tool/options (the simulator is
-    deterministic).  The program is built once, and the baseline and the
-    tool observe one execution.  Raises :class:`KeyError` for an unknown
-    program and :class:`ValueError` for an unknown tool.
+    deterministic); both run through :func:`run_workload`.  Raises
+    :class:`KeyError` for an unknown program and :class:`ValueError`
+    for an unknown tool.
     """
     from ..workloads import program_by_name
     program = program_by_name(program_name)
-    if tool == "binfpe":
-        instance, span = BinFPE(), SPAN_RUN_BINFPE
-    elif tool == "analyzer":
-        instance, span = FPXAnalyzer(AnalyzerConfig()), SPAN_RUN_ANALYZER
-    elif tool == "detector":
-        instance, span = FPXDetector(detector_config), SPAN_RUN_DETECTOR
-    else:
-        raise ValueError(f"unknown tool {tool!r}; expected "
-                         f"detector, analyzer or binfpe")
     options = CompileOptions.fast_math() if fast_math \
         else CompileOptions.precise()
+    base, stats, report, analyzer = run_workload(
+        program, tool, options=options, detector_config=detector_config,
+        decode_cache=decode_cache, warp_batch=warp_batch, shadow=shadow)
     payload: dict = {"program": program.name, "suite": program.suite,
                      "tool": tool, "fast_math": fast_math}
-    built = _built_for(program, None, options, None)
-    with get_telemetry().span(span, program=program.name,
-                              suite=program.suite) as sp:
-        _, session = _execute(built, [None, instance], decode_cache,
-                              warp_batch, shadow)
-        base, stats = session.observer_stats(0), session.observer_stats(1)
-        if tool == "analyzer":
-            payload["analyzer"] = instance.to_json()
-            payload["events"] = instance.events_json()
-        else:
-            payload["report"] = session.report(observer=1).to_json()
-        sp.set(launches=stats.launches, cycles=stats.total_cycles)
+    if analyzer is not None:
+        payload["analyzer"] = analyzer.to_json()
+        payload["events"] = analyzer.events_json()
+    else:
+        payload["report"] = report.to_json()
     payload["stats"] = stats_json(stats, base)
     return payload
 

@@ -12,11 +12,11 @@ with its own :class:`~repro.gpu.cost.RunStats`, plan cache, channel,
 shadow tracker and Algorithm-3 decisions.  Tools only read registers
 and write their own channels, so every observer sees the same register,
 memory and control-flow trajectory: the runtime executes each launch
-*once* with the plans of every observer that instruments it overlaid
-(:func:`~repro.gpu.decode.fuse_plan`), and each observer's probes charge
-its own ledger and defer their emissions.  An observer's view of the
-launch is the execution's counts plus its ledger, with its emissions
-replayed against its own host-side state.  A solo run is the
+*once* with the plans of every observer that instruments it overlaid in
+one pass (:func:`~repro.gpu.decode.fuse_plan`), and each observer's
+probes charge its own ledger and defer their emissions.  An observer's
+view of the launch is the execution's counts plus its ledger, with its
+emissions replayed against its own host-side state.  A solo run is the
 one-observer case.
 
 ``launch`` supports a ``repeat`` count for launches that are logically
@@ -324,8 +324,8 @@ class ToolRuntime:
                                   static_instrs=len(code),
                                   instrumented=bool(plans)) as sp:
             decoded = decode_program(code)
-            for i, plan in plans:
-                decoded = fuse_plan(decoded, plan, i)
+            if plans:
+                decoded = fuse_plan(decoded, plans)
             sp.set(fused=sum(len(plan) for _, plan in plans))
         self._decoded_cache[key] = decoded
         return decoded

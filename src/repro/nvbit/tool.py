@@ -28,11 +28,15 @@ events) goes through ``ctx.defer(...)``, whose emission runs after the
 launch, in canonical (block, barrier phase, warp, program order) order,
 against the tool's then-current host-side state.  Scratch that a later
 probe of the same execution consumes (the analyzer's before-hook
-capture) is the one exception.  The runtime relies on this: several
-tools observe one execution, and a repeated stateless launch's warm
-invocation is a replay of the cold invocation's emissions, not a second
-execution.  Every tool in this repository keeps the contract, and the
-fused-vs-solo tests hold them to it.
+capture) is the one exception.  A probe must not keep its context
+after it returns: the engines build one context per warp (or cohort)
+and dispatch phase and rebind its ``ledger`` and ``args`` for each
+probe of that phase, and its ``screen_f32`` answers are that phase's.
+The runtime relies on this: several tools observe one execution, and a
+repeated stateless launch's warm invocation is a replay of the cold
+invocation's emissions, not a second execution.  Every tool in this
+repository keeps the contract, and the fused-vs-solo tests hold them
+to it.
 """
 
 from __future__ import annotations

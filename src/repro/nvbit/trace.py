@@ -70,9 +70,10 @@ class SassTracer(NVBitTool):
         self.opcode_counts[instr.opcode] += 1
         if len(self.entries) >= self.max_entries:
             return
+        code = ictx.launch.code
         self.entries.append(TraceEntry(
-            kernel=ictx.launch.code.name, pc=instr.pc,
-            sass=instr.getSASS(),
+            kernel=code.name, pc=instr.pc,
+            sass=code.sass_lines()[instr.pc],
             active_lanes=active_lanes,
             dest_value=value))
 

@@ -39,6 +39,7 @@ __all__ = [
     "split_f64_bits",
     "join_f64_bits",
     "classify_f32_bits",
+    "exceptional_f32",
     "classify_f64_bits",
     "classify_f16_bits",
     "classify_f32_value",
@@ -60,6 +61,8 @@ _F64_EXP_MASK = np.uint64(0x7FF0000000000000)
 _F64_MAN_MASK = np.uint64(0x000FFFFFFFFFFFFF)
 _F16_EXP_MASK = np.uint16(0x7C00)
 _F16_MAN_MASK = np.uint16(0x03FF)
+_SCREEN_BIAS = np.uint32(0x01000000)
+_SCREEN_TOP = np.uint32(0x02000000)
 
 
 def f32_to_bits(value: float) -> int:
@@ -121,6 +124,21 @@ def classify_f32_bits(bits: np.ndarray | int) -> np.ndarray | int:
     out[all_ones & (man == 0)] = INF
     out[(exp == 0) & (man != 0)] = SUB
     return int(out[()]) if scalar else out
+
+
+def exceptional_f32(bits: np.ndarray) -> np.ndarray:
+    """Per-lane NaN/INF/subnormal flags of FP32 register bits: the
+    lanes :func:`classify_f32_bits` does not call VAL, in one fused
+    bit test (the FP32 probes' screen).
+
+    ``z = (u << 1) + 0x01000000`` in wrapping ``uint32`` drops the sign
+    and adds one to the exponent field, so the two exceptional
+    exponents, 0xFF (NaN/INF) and 0x00 (subnormal), become the two
+    lowest: ``z < 0x02000000``.  ``z != 0x01000000`` leaves out ±0.
+    """
+    z = bits << np.uint32(1)
+    z += _SCREEN_BIAS
+    return (z < _SCREEN_TOP) & (z != _SCREEN_BIAS)
 
 
 def classify_f64_bits(bits: np.ndarray | int) -> np.ndarray | int:

@@ -55,6 +55,20 @@ class KernelCode:
         return cls(name, instructions, labels,
                    has_source_info=has_source_info)
 
+    def sass_lines(self) -> tuple[str, ...]:
+        """Every instruction's SASS disassembly text, indexed by pc.
+
+        Rendered once per kernel and cached (the instruction list is
+        frozen once the kernel is built): the fingerprint, the tools'
+        site registries and the shadow plane all read these lines
+        instead of re-rendering through ``Instruction.getSASS``.
+        """
+        cached = getattr(self, "_sass_lines", None)
+        if cached is None:
+            cached = self._sass_lines = tuple(
+                instr.getSASS() for instr in self.instructions)
+        return cached
+
     def fingerprint(self) -> str:
         """Stable identity of this kernel's SASS.
 
@@ -69,9 +83,9 @@ class KernelCode:
         h = hashlib.sha1()
         h.update(self.name.encode())
         h.update(b"|src" if self.has_source_info else b"|nosrc")
-        for instr in self.instructions:
+        for line in self.sass_lines():
             h.update(b"\n")
-            h.update(instr.getSASS().encode())
+            h.update(line.encode())
         for label, pc in sorted(self.labels.items()):
             h.update(f"@{label}={pc}".encode())
         self._fingerprint = h.hexdigest()

@@ -251,6 +251,20 @@ class TestFastMathCodegen:
         assert not any(ins.opcode == "DFMA" for ins in precise.code)
         assert any(ins.opcode == "DFMA" for ins in fast.code)
 
+    def test_integer_multiply_add_not_contracted(self):
+        """Contraction is an FP rewrite: an I32 ``a*b + c`` stays
+        IMAD/IADD3 under fast-math, identical to precise codegen."""
+        def build(kb):
+            x = kb.ptr_param("x")
+            n = kb.i32_param("n")
+            i = kb.global_idx()
+            kb.store(x, i * n + 3, kb.load_f32(x, i))
+        precise, fast = self._compile_both(build)
+        opcodes = [ins.opcode for ins in fast.code]
+        assert "IMAD" in opcodes and "IADD3" in opcodes
+        assert "DFMA" not in opcodes and "FFMA" not in opcodes
+        assert fast.code.disassemble() == precise.code.disassemble()
+
     def test_ftz_changes_results(self):
         """A subnormal product flushes to zero under fast-math."""
         xs = [1e-30]

@@ -63,7 +63,7 @@ class TestDecodeProgram:
         plan = InstrumentationPlan("t", code.name, (
             PlannedInjection(2, "after", lambda ictx: None),
             PlannedInjection(2, "before", lambda ictx: None),))
-        fused = fuse_plan(decode_program(code), plan)
+        fused = fuse_plan(decode_program(code), [(0, plan)])
         assert fused.instrumented
         assert fused.plan_fingerprint == plan.fingerprint
         assert len(fused.ops[2].before) == 1
@@ -71,6 +71,26 @@ class TestDecodeProgram:
         assert fused.ops[1].before == () and fused.ops[1].after == ()
         # the bare program is untouched
         assert not decode_program(code).instrumented
+
+    def test_measurement_renders_each_instruction_once(self, monkeypatch):
+        # Fingerprint, site registries and plans all read the kernel's
+        # memoised SASS lines; nothing renders an instruction twice.
+        from repro.harness.runner import measure_slowdowns
+        from repro.sass.instruction import Instruction
+        from repro.workloads import program_by_name
+        render = Instruction.getSASS
+        rendered = []
+
+        def counting(instr):
+            rendered.append(instr)
+            return render(instr)
+
+        monkeypatch.setattr(Instruction, "getSASS", counting)
+        measure_slowdowns(program_by_name("GRAMSCHM"))
+        counts = {}
+        for instr in rendered:
+            counts[id(instr)] = counts.get(id(instr), 0) + 1
+        assert rendered and max(counts.values()) == 1
 
 
 class TestDecodeCache:
@@ -276,7 +296,7 @@ class TestFusePlanSharing:
         code = KernelCode.assemble("k", KERNEL + HALF_KERNEL)
         bare = decode_program(code)
         plan = tool.plan_kernel(code)
-        fused = fuse_plan(bare, plan)
+        fused = fuse_plan(bare, [(0, plan)])
         injected = {e.pc for e in plan.entries}
         assert injected and len(injected) < len(bare)
         for op, bare_op in zip(fused.ops, bare.ops):
@@ -290,11 +310,63 @@ class TestFusePlanSharing:
         assert bare.cohort_ready and not any(
             op.before or op.after for op in bare.ops)
 
+    @staticmethod
+    def _fold(bare, plans):
+        """The per-observer fold the one-pass overlay replaced: each
+        observer's injections appended to the previous observers'."""
+        before = [op.before for op in bare.ops]
+        after = [op.after for op in bare.ops]
+        tag = None
+        for observer, plan in plans:
+            for entry in plan.entries:
+                slots = before if entry.when == "before" else after
+                slots[entry.pc] += (entry.to_injection(observer),)
+            part = plan.fingerprint if observer == 0 \
+                else f"{observer}:{plan.fingerprint}"
+            tag = part if tag is None else f"{tag}|{part}"
+        cohort_ready = all(
+            op.vectorizable and all(inj.cohort_fn is not None
+                                    for inj in b + a)
+            for op, b, a in zip(bare.ops, before, after) if b or a)
+        return before, after, tag, cohort_ready
+
+    @pytest.mark.parametrize("name", ["GRAMSCHM", "cfd", "CuMF-Movielens",
+                                      "SRU-Example", "myocyte"])
+    @pytest.mark.parametrize("observers", [
+        # the Figure 4/5 set: baseline, BinFPE, FPX w/o GT, FPX w/ GT
+        lambda: [None, BinFPE(), FPXDetector(DetectorConfig(use_gt=False)),
+                 FPXDetector(DetectorConfig(use_gt=True))],
+        # before-phase probes and a tool without cohort probes
+        lambda: [FPXAnalyzer(AnalyzerConfig()), None, FPXDetector()],
+    ], ids=["fig45", "with-analyzer"])
+    def test_one_pass_overlay_equals_per_observer_fold(self, name,
+                                                       observers):
+        from repro.harness.runner import build_program
+        from repro.workloads import program_by_name
+        tools = observers()
+        built = build_program(program_by_name(name))
+        for spec in built.schedule:
+            bare = decode_program(spec.code)
+            plans = [(i, tool.plan_kernel(spec.code))
+                     for i, tool in enumerate(tools) if tool is not None]
+            fused = fuse_plan(bare, plans)
+            before, after, tag, cohort_ready = self._fold(bare, plans)
+            assert [op.before for op in fused.ops] == before
+            assert [op.after for op in fused.ops] == after
+            assert fused.plan_fingerprint == tag
+            assert fused.cohort_ready is cohort_ready
+            for op, bare_op in zip(fused.ops, bare.ops):
+                if op.before or op.after:
+                    assert op is not bare_op
+                    assert op.execute is bare_op.execute
+                else:
+                    assert op is bare_op
+
     def test_injection_on_a_serial_only_op_is_not_cohort_ready(self):
         code = _code()
         plan = InstrumentationPlan("t", code.name, (
             PlannedInjection(len(code) - 1, "before", lambda ictx: None,
                              cohort_fn=lambda cctx: None),))
-        fused = fuse_plan(decode_program(code), plan)
+        fused = fuse_plan(decode_program(code), [(0, plan)])
         assert not fused.cohort_ready
         assert fused.ops[0] is decode_program(code).ops[0]

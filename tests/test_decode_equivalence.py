@@ -109,7 +109,7 @@ def _snapshot_run(decoded_path: bool):
     if decoded_path:
         plan = InstrumentationPlan("snap", code.name, (
             PlannedInjection(exit_pc, "after", snap),))
-        decoded = fuse_plan(decode_program(code), plan)
+        decoded = fuse_plan(decode_program(code), [(0, plan)])
         stats = device._launch_kernel(code, config, decoded=decoded)
     else:
         stats = device._launch_kernel(code, config,

@@ -276,12 +276,13 @@ class TestFP16Extension:
 
 class TestFP32Screen:
     """The FP32 probes' one-pass screen flags exactly the lanes the full
-    classification calls NaN, INF or subnormal."""
+    classification calls NaN, INF or subnormal, and a dispatch phase's
+    probe context answers it once per register."""
 
     @staticmethod
     def _agrees(bits):
-        from repro.fpx.checks import exceptional_f32
-        from repro.sass.fpenc import INF, NAN, SUB, classify_f32_bits
+        from repro.sass.fpenc import (INF, NAN, SUB, classify_f32_bits,
+                                      exceptional_f32)
 
         codes = classify_f32_bits(bits)
         want = (codes == NAN) | (codes == INF) | (codes == SUB)
@@ -307,16 +308,74 @@ class TestFP32Screen:
         assert ok and flagged >= 3
 
     def test_masked_off_lanes_do_not_fire(self):
-        from repro.fpx.checks import any_exceptional_f32
+        from repro.gpu.executor import CohortInjectionCtx, InjectionCtx
+        from repro.gpu.warp import CohortView, Warp, WarpSet
 
         bits = np.full(32, 0x3F800000, dtype=np.uint32)
         bits[7] = 0x7FC00000
+
+        def screen(mask):
+            warp = Warp(0, 0, 0)
+            warp.regs[3] = bits
+            return InjectionCtx(None, None, warp, None, mask).screen_f32(3)
+
         mask = np.ones(32, dtype=bool)
-        assert any_exceptional_f32(bits, mask)
+        assert screen(mask)
         mask[7] = False
-        assert not any_exceptional_f32(bits, mask)
+        assert not screen(mask)
         # the (n, 32) cohort shape
-        rows = np.stack([bits, bits])
-        masks = np.stack([mask, ~mask])
-        assert any_exceptional_f32(rows, masks)
-        assert not any_exceptional_f32(rows, np.stack([mask, mask]))
+        wset = WarpSet(2)
+        wset.regs[:, 3] = bits
+
+        def cohort_screen(masks):
+            view = CohortView(wset, np.arange(2))
+            return CohortInjectionCtx(None, None, view, None,
+                                      masks).screen_f32(3)
+
+        assert cohort_screen(np.stack([mask, ~mask]))
+        assert not cohort_screen(np.stack([mask, mask]))
+
+    #: R3 is clean before the FADD and INF after it; R1 stays 1.0.
+    DISPATCH_KERNEL = """
+        MOV32I R1, 0x3f800000 ;
+        MOV32I R2, 0x7f800000 ;
+        FADD R3, R1, R2 ;
+        EXIT ;
+    """
+
+    @pytest.mark.parametrize("path, block", [
+        ("legacy", 32), ("decoded", 32), ("cohort", 64)])
+    def test_one_screen_per_register_and_phase(self, path, block):
+        from repro.api import EXECUTION_PATHS, Session
+        from repro.nvbit import (InstrumentationPlan, NVBitTool,
+                                 PlannedInjection)
+
+        seen = []
+
+        def probe(label, reg):
+            def fn(ctx):
+                seen.append((label, ctx.screen_f32(reg)))
+            return fn
+
+        class Screens(NVBitTool):
+            name = "screens"
+
+            def plan_kernel(self, code):
+                fadd = 2
+                entries = [
+                    ("before", "R3 before", 3),
+                    ("after", "R1 after", 1),
+                    ("after", "R3 after", 3),
+                    ("after", "R1 again", 1),
+                ]
+                return InstrumentationPlan(self.name, code.name, tuple(
+                    PlannedInjection(fadd, when, probe(label, reg),
+                                     cohort_fn=probe(label, reg))
+                    for when, label, reg in entries))
+
+        code = KernelCode.assemble("screens", self.DISPATCH_KERNEL)
+        with Session(Screens(), **EXECUTION_PATHS[path]) as session:
+            session.run_schedule([LaunchSpec(code, LaunchConfig(1, block))])
+        # the cohort engine probes its two warps as one cohort
+        assert seen == [("R3 before", False), ("R1 after", False),
+                        ("R3 after", True), ("R1 again", False)]

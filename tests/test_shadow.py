@@ -35,7 +35,8 @@ from repro.fpx.shadow import (
 )
 from repro.gpu.device import Device, LaunchConfig
 from repro.harness.pool import WorkerPool
-from repro.harness.runner import run_detector, run_workload_json
+from repro.harness.runner import build_program, measure_slowdowns, \
+    run_detector, run_workload_json
 from repro.nvbit.plan import shadow_checkpoints
 from repro.nvbit.runtime import LaunchSpec
 from repro.sass.program import KernelCode
@@ -157,6 +158,17 @@ class TestSilentErrorWorkloads:
         report, _ = run_detector(program)
         assert report.shadow is None
         assert "shadow" not in report.to_json()
+
+    def test_shadow_off_builds_no_slots(self):
+        # Slot tables belong to the shadow plane: decode never builds
+        # them, so a shadow-off measurement leaves none on its kernels.
+        program = program_by_name("shadow-cancel")
+        built = build_program(program)
+        measure_slowdowns(program, built=built)
+        codes = [spec.code for spec in built.schedule]
+        assert not any(hasattr(code, "_shadow_slots") for code in codes)
+        run_detector(program, built=built, shadow=True)
+        assert all(hasattr(code, "_shadow_slots") for code in codes)
 
     def test_huge_threshold_suppresses_divergence(self):
         # the cancel site is ~1.1e9 FP32 ULPs; a 2^31 threshold sits

@@ -4,7 +4,8 @@ import pytest
 
 from repro.compiler import CompileOptions
 from repro.fpx import DetectorConfig
-from repro.harness.runner import measured_counts, run_detector, run_binfpe
+from repro.harness.runner import measured_counts, run_baseline, \
+    run_detector, run_binfpe
 from repro.workloads import (
     EXCEPTION_PROGRAMS,
     SUITE_SIZES,
@@ -129,6 +130,12 @@ class TestTable5:
 
 class TestTable6:
     """The --use_fast_math study."""
+
+    @pytest.mark.parametrize("name", [p.name for p in all_programs()])
+    def test_every_program_runs_under_fast_math(self, name):
+        stats = run_baseline(program_by_name(name),
+                             options=CompileOptions.fast_math())
+        assert stats.launches > 0
 
     @pytest.mark.parametrize("name", sorted(TABLE6_FASTMATH))
     def test_fastmath_counts(self, name):
