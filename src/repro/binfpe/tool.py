@@ -27,8 +27,7 @@ import numpy as np
 from ..gpu.executor import InjectionCtx
 from ..nvbit.plan import InstrumentationPlan, PlannedInjection
 from ..nvbit.tool import NVBitTool
-from ..sass.fpenc import classify_f32_bits, classify_f64_bits
-from ..sass.isa import BINFPE_SUPPORTED_OPCODES, OpCategory
+from ..sass.isa import BINFPE_SUPPORTED_OPCODES
 from ..sass.program import KernelCode
 from ..fpx.records import (
     DecodedRecord,
@@ -38,7 +37,8 @@ from ..fpx.records import (
     decode_record,
     encode_record,
 )
-from ..fpx.checks import CLASS_TO_KIND
+from ..fpx.checks import kind_counts
+from ..fpx.detector import DIV0_MODES, kernel_checks
 from ..fpx.report import ExceptionReport
 
 __all__ = ["BinFPE"]
@@ -59,86 +59,52 @@ class BinFPE(NVBitTool):
         self._host_counts: dict[int, int] = defaultdict(int)
 
     def plan_kernel(self, code: KernelCode) -> InstrumentationPlan:
+        """The arithmetic sites of Algorithm 1's selection, each probed
+        on the register(s) Algorithm 1 picks: an FP32 register, or an
+        FP64 pair (``MUFU.RCP64H``'s high word included)."""
         entries: list[PlannedInjection] = []
         sass = code.sass_lines()
-        for instr in code:
+        for instr, mode, regs in kernel_checks(code):
             if instr.opcode not in BINFPE_SUPPORTED_OPCODES:
                 continue
-            dest = instr.dest_reg()
-            if dest is None:
-                continue
-            if instr.is_mufu_rcp() and instr.is_64h():
-                fmt, regs = FPFormat.FP64, (dest - 1, dest)
-            elif instr.category is OpCategory.FP64_ARITH:
-                fmt, regs = FPFormat.FP64, (dest, dest + 1)
-            else:
-                fmt, regs = FPFormat.FP32, (dest,)
+            fmt = FPFormat.FP64 if len(regs) == 2 else FPFormat.FP32
             loc = self.sites.register(
                 code.name, instr.pc, sass[instr.pc], instr.source_loc,
                 fmt, visible=code.has_source_info)
             entries.append(PlannedInjection(
                 instr.pc, "after", self._record_dest,
-                args=(regs, loc, fmt, instr.is_mufu_rcp()),
+                args=(regs, loc, fmt, mode in DIV0_MODES),
                 cohort_fn=self._record_dest_cohort))
         return InstrumentationPlan(self.name, code.name, tuple(entries))
 
     # -- injected device code: ship every destination value -------------------
-
-    @staticmethod
-    def _classify(warp, regs, fmt, is_rcp, mask) -> np.ndarray:
-        """Per-lane exception kinds of the destination register(s).
-
-        Shape-generic: ``warp`` may be one :class:`~repro.gpu.warp.Warp`
-        (``mask`` of shape ``(32,)``) or a cohort view (``(n, 32)``)."""
-        if fmt is FPFormat.FP64:
-            bits = (warp.read_u32(regs[0]).astype(np.uint64)
-                    | (warp.read_u32(regs[1]).astype(np.uint64)
-                       << np.uint64(32)))
-            codes = classify_f64_bits(bits)
-        else:
-            codes = classify_f32_bits(warp.read_u32(regs[0]))
-        kinds = CLASS_TO_KIND[codes]
-        if is_rcp:
-            # BinFPE also reports div-by-zero for reciprocal NaN/INF dests
-            kinds = np.where(
-                (kinds == int(ExceptionKind.NAN))
-                | (kinds == int(ExceptionKind.INF)),
-                np.uint8(int(ExceptionKind.DIV0)), np.uint8(0))
-        return np.where(mask, kinds, np.uint8(0))
-
-    @staticmethod
-    def _exc_counts(kinds: np.ndarray) -> dict[int, int]:
-        return {int(k): int((kinds == k).sum())
-                for k in np.unique(kinds[kinds > 0])}
+    # The exception kinds shipped alongside the values come from the probe
+    # context's shared screen and classification of the destination; a
+    # reciprocal's NaN/INF destination is reported as div-by-zero.
 
     def _record_dest(self, ictx: InjectionCtx) -> None:
         regs, loc, fmt, is_rcp = ictx.args
-        mask = ictx.exec_mask
-        lanes = int(np.count_nonzero(mask))
+        lanes = int(np.count_nonzero(ictx.exec_mask))
         if lanes == 0:
             return
-        if fmt is FPFormat.FP32 and not ictx.screen_f32(regs[0]):
-            counts = {}
-        else:
-            counts = self._exc_counts(
-                self._classify(ictx.warp, regs, fmt, is_rcp, mask))
+        counts = kind_counts(ictx.classify(regs), is_rcp) \
+            if ictx.screen(regs) else {}
         # every active thread's value crosses the channel, exceptional or not
         ictx.defer(self._emit_values, (loc, fmt, counts, lanes))
 
     def _record_dest_cohort(self, cctx) -> None:
-        """Whole-cohort probe: classify once over the stacked view, then
-        defer one per-warp emission so channel order stays canonical."""
+        """Whole-cohort probe: one shared classification over the stacked
+        view, then one deferred per-warp emission so channel order stays
+        canonical."""
         regs, loc, fmt, is_rcp = cctx.args
-        masks = cctx.exec_masks
-        lanes = masks.sum(axis=1)
+        lanes = cctx.exec_masks.sum(axis=1)
         if not lanes.any():
             return
-        kinds = None
-        if fmt is not FPFormat.FP32 or cctx.screen_f32(regs[0]):
-            kinds = self._classify(cctx.cohort, regs, fmt, is_rcp, masks)
+        classes = cctx.classify(regs) if cctx.screen(regs) else None
         for i in range(cctx.n):
             if lanes[i]:
-                counts = {} if kinds is None else self._exc_counts(kinds[i])
+                counts = {} if classes is None \
+                    else kind_counts(classes[i], is_rcp)
                 cctx.defer(i, self._emit_values,
                            (loc, fmt, counts, int(lanes[i])))
 

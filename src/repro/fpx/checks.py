@@ -13,13 +13,19 @@ Each function returns a per-lane array of :class:`ExceptionKind` codes
 of a reciprocal ("it is essential to verify if the opcode is
 MUFU.RCP(64H) and the destination register holds a NaN or INF value").
 
-The FP32 probes screen first: ``ctx.screen_f32(reg)`` on the probe's
-injection context runs one fused bit test over the destination
-(:func:`repro.sass.fpenc.exceptional_f32`) once per dispatch, shared by
-every observer probing that register, and the full classification
-here runs only when some executing lane is NaN, INF or subnormal — the
-common case of a clean destination costs a handful of array operations
-per dispatch, not per probe.
+On the device these functions are the FP16 check and the
+``on_device_check=False`` ablation's.  The FP32 and FP64 checks (DIV0
+included) and both BinFPE probes read the probe context instead:
+``ctx.screen(regs)`` runs one fused bit test over an FP32 register
+``(r,)`` or FP64 pair ``(lo, hi)``
+(:func:`repro.sass.fpenc.exceptional_f32` /
+:func:`~repro.sass.fpenc.exceptional_f64`), and only when some
+executing lane is NaN, INF or subnormal does ``ctx.classify(regs)``
+count the lanes per class, once.  Both answers are taken once per
+dispatch phase and shared by every observer probing that register
+tuple, so a clean destination costs a handful of array operations per
+dispatch, not per probe; :func:`kind_counts` turns one warp's class
+counts into the ``ExceptionKind -> lanes`` map the tools ship.
 """
 
 from __future__ import annotations
@@ -44,12 +50,42 @@ __all__ = [
     "check_32_div0",
     "check_64_div0",
     "CLASS_TO_KIND",
+    "kind_counts",
+    "lane_kind_counts",
 ]
 
 #: fpenc class codes (VAL/NAN/INF/SUB) map 1:1 onto ExceptionKind values.
 CLASS_TO_KIND = np.array([int(ExceptionKind.NONE), int(ExceptionKind.NAN),
                           int(ExceptionKind.INF), int(ExceptionKind.SUB)],
                          dtype=np.uint8)
+
+_NAN, _INF, _SUB, _DIV0 = (int(ExceptionKind.NAN), int(ExceptionKind.INF),
+                           int(ExceptionKind.SUB), int(ExceptionKind.DIV0))
+
+
+def kind_counts(class_counts: np.ndarray, div0: bool) -> dict[int, int]:
+    """``ExceptionKind -> lanes`` of one warp, in ascending kind order,
+    from its lane counts per fpenc class (``ctx.classify(regs)``, or one
+    row of a cohort's).  ``div0`` reads the destination of a reciprocal:
+    NaN or INF there is DIV0, and a subnormal is nothing."""
+    _, nan, inf, sub = class_counts.tolist()
+    if div0:
+        return {_DIV0: nan + inf} if nan or inf else {}
+    out = {}
+    if nan:
+        out[_NAN] = nan
+    if inf:
+        out[_INF] = inf
+    if sub:
+        out[_SUB] = sub
+    return out
+
+
+def lane_kind_counts(kinds: np.ndarray) -> dict[int, int]:
+    """``ExceptionKind -> lanes`` of one warp's per-lane check result
+    (0 for no exception), in ascending kind order."""
+    counts = np.bincount(kinds, minlength=len(ExceptionKind)).tolist()
+    return {k: c for k, c in enumerate(counts) if k and c}
 
 
 def check_32_nan_inf_sub(warp: Warp, dest: int) -> np.ndarray:

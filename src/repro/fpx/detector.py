@@ -30,6 +30,8 @@ from .checks import (
     check_32_nan_inf_sub,
     check_64_div0,
     check_64_nan_inf_sub,
+    kind_counts,
+    lane_kind_counts,
 )
 from .config import DetectorConfig
 from .gt import GlobalTable
@@ -43,7 +45,7 @@ from .records import (
 )
 from .report import ExceptionReport
 
-__all__ = ["FPXDetector"]
+__all__ = ["FPXDetector", "kernel_checks"]
 
 #: Bytes per exception record on the channel (key + padding, Figure 3).
 RECORD_BYTES = 8
@@ -55,8 +57,8 @@ _CHECK_32_DIV0 = 2
 _CHECK_64_DIV0 = 3
 _CHECK_16 = 4
 
-#: Modes that check one FP32 register (screened before classifying).
-_F32_MODES = (_CHECK_32, _CHECK_32_DIV0)
+#: Modes that check a reciprocal's destination (NaN or INF is DIV0).
+DIV0_MODES = (_CHECK_32_DIV0, _CHECK_64_DIV0)
 
 _FMT_OF_MODE = {
     _CHECK_32: FPFormat.FP32,
@@ -94,8 +96,28 @@ def select_check(instr: Instruction) -> tuple[int, tuple[int, ...]] | None:
     return None
 
 
+def kernel_checks(code: KernelCode
+                  ) -> tuple[tuple[Instruction, int, tuple[int, ...]], ...]:
+    """Algorithm 1 over a whole kernel: ``(instr, mode, registers)`` for
+    every instruction :func:`select_check` instruments, in pc order.
+
+    Walked once per kernel and memoised on the (frozen) code object, as
+    its SASS lines and bare decode are: every detector and BinFPE
+    observer planning this kernel reads the same selection.
+    """
+    cached = getattr(code, "_kernel_checks", None)
+    if cached is None:
+        cached = code._kernel_checks = tuple(
+            (instr, *sel) for instr in code
+            if (sel := select_check(instr)) is not None)
+    return cached
+
+
 def run_check(mode: int, warp, regs: tuple[int, ...]) -> np.ndarray:
-    """Invoke the specialized check; returns per-lane ExceptionKind codes."""
+    """Invoke the specialized check; returns per-lane ExceptionKind codes
+    (the FP16 check and the ``on_device_check=False`` ablation; the
+    on-device FP32/FP64 checks read the probe context's shared
+    classification instead)."""
     if mode == _CHECK_32:
         return check_32_nan_inf_sub(warp, regs[0])
     if mode == _CHECK_64:
@@ -196,11 +218,7 @@ class FPXDetector(NVBitTool):
         """Algorithm 1, declaratively: one planned check per FP site."""
         entries: list[PlannedInjection] = []
         sass = code.sass_lines()
-        for instr in code:
-            sel = select_check(instr)
-            if sel is None:
-                continue
-            mode, regs = sel
+        for instr, mode, regs in kernel_checks(code):
             if mode == _CHECK_16 and not self.config.check_fp16:
                 continue
             fmt = _FMT_OF_MODE[mode]
@@ -215,12 +233,6 @@ class FPXDetector(NVBitTool):
 
     # -- injected device code (Algorithm 2) ------------------------------------
 
-    @staticmethod
-    def _kind_counts(e: np.ndarray) -> dict[int, int]:
-        """Per-ExceptionKind lane counts of one warp's check result."""
-        exc = e[e > 0]
-        return {int(k): int((exc == k).sum()) for k in np.unique(exc)}
-
     def _device_check(self, ictx: InjectionCtx) -> None:
         mode, regs, loc, fmt = ictx.args
         if not self.config.on_device_check:
@@ -234,16 +246,19 @@ class FPXDetector(NVBitTool):
             e = run_check(mode, ictx.warp, regs)
             e = np.where(ictx.exec_mask, e, np.uint8(0))
             ictx.defer(self._emit_host_values,
-                       (loc, fmt, self._kind_counts(e), lanes))
+                       (loc, fmt, lane_kind_counts(e), lanes))
             return
         ictx.charge(ictx.launch.cost.device_check_cycles)
-        if mode in _F32_MODES and not ictx.screen_f32(regs[0]):
+        if mode == _CHECK_16:
+            e = run_check(mode, ictx.warp, regs)
+            counts = lane_kind_counts(np.where(ictx.exec_mask, e,
+                                               np.uint8(0)))
+        elif ictx.screen(regs):
+            counts = kind_counts(ictx.classify(regs), mode in DIV0_MODES)
+        else:
             return
-        e = run_check(mode, ictx.warp, regs)
-        e = np.where(ictx.exec_mask, e, np.uint8(0))
-        if not e.any():
-            return
-        ictx.defer(self._emit_records, (self._kind_counts(e), loc, fmt))
+        if counts:
+            ictx.defer(self._emit_records, (counts, loc, fmt))
 
     def _device_check_cohort(self, cctx) -> None:
         """One probe for a whole warp cohort: the register check runs
@@ -260,19 +275,22 @@ class FPXDetector(NVBitTool):
             for i in range(cctx.n):
                 if lanes[i]:
                     cctx.defer(i, self._emit_host_values,
-                               (loc, fmt, self._kind_counts(e[i]),
+                               (loc, fmt, lane_kind_counts(e[i]),
                                 int(lanes[i])))
             return
         cctx.charge_per_warp(cctx.launch.cost.device_check_cycles)
-        if mode in _F32_MODES and not cctx.screen_f32(regs[0]):
+        if mode == _CHECK_16:
+            e = run_check(mode, cctx.cohort, regs)
+            rows = [lane_kind_counts(row)
+                    for row in np.where(masks, e, np.uint8(0))]
+        elif cctx.screen(regs):
+            div0 = mode in DIV0_MODES
+            rows = [kind_counts(row, div0) for row in cctx.classify(regs)]
+        else:
             return
-        e = run_check(mode, cctx.cohort, regs)
-        e = np.where(masks, e, np.uint8(0))
-        if not e.any():
-            return
-        for i in np.nonzero(e.any(axis=1))[0]:
-            cctx.defer(int(i), self._emit_records,
-                       (self._kind_counts(e[i]), loc, fmt))
+        for i, counts in enumerate(rows):
+            if counts:
+                cctx.defer(i, self._emit_records, (counts, loc, fmt))
 
     def _push_records(self, ictx: InjectionCtx, kind_counts: dict[int, int],
                       loc: int, fmt) -> None:

@@ -118,13 +118,24 @@ class DecodedProgram:
     #: True when a tool's plan has been fused in (even an empty plan:
     #: an instrumented launch of an injection-free kernel still pays JIT).
     instrumented: bool = False
-    plan_fingerprint: str = ""
+    #: The ``(observer, plan)`` pairs fused in, in observer order.
+    plans: tuple = ()
     #: True when the cohort engine can run this program: every op that
     #: carries injections is vectorizable and every injection has a
     #: cohort-aware probe.  Bare programs are always ready; a plan whose
     #: tool lacks cohort probes (e.g. a stateful legacy tool) falls back
     #: to the serial per-warp loop.
     cohort_ready: bool = True
+
+    @property
+    def plan_fingerprint(self) -> str:
+        """The fused plans' fingerprints, ``|``-joined (observer 0's
+        bare, others ``observer:``-prefixed); ``""`` for the bare
+        decode.  Computed on read: fusing and the runtime's cache do not
+        hash plans."""
+        return "|".join(plan.fingerprint if observer == 0
+                        else f"{observer}:{plan.fingerprint}"
+                        for observer, plan in self.plans)
 
     def __len__(self) -> int:
         return len(self.ops)
@@ -158,15 +169,12 @@ def fuse_plan(prog: DecodedProgram,
     """
     before: dict[int, list[Injection]] = {}
     after: dict[int, list[Injection]] = {}
-    tags = []
     for observer, plan in plans:
         for entry in plan.entries:
             bucket = before if entry.when == "before" else after
             bucket.setdefault(entry.pc, []).append(
                 Injection(entry.when, entry.fn, entry.args,
                           getattr(entry, "cohort_fn", None), observer))
-        tags.append(plan.fingerprint if observer == 0
-                    else f"{observer}:{plan.fingerprint}")
     ops = list(prog.ops)
     cohort_ready = True
     for pc in before.keys() | after.keys():
@@ -177,7 +185,7 @@ def fuse_plan(prog: DecodedProgram,
         cohort_ready = cohort_ready and op.vectorizable and all(
             inj.cohort_fn is not None for inj in op.before + op.after)
     return DecodedProgram(prog.name, prog.code, tuple(ops),
-                          instrumented=True, plan_fingerprint="|".join(tags),
+                          instrumented=True, plans=tuple(plans),
                           cohort_ready=cohort_ready)
 
 

@@ -35,7 +35,7 @@ from typing import Callable, TYPE_CHECKING
 
 import numpy as np
 
-from ..sass.fpenc import exceptional_f32
+from ..sass import fpenc
 from ..sass.instruction import Instruction
 from ..sass.operands import Operand, OperandType, RZ
 from ..sass.program import KernelCode
@@ -170,10 +170,36 @@ class LaunchContext:
     shadow: "object | None" = None
 
 
-def _exceptional_under(bits: np.ndarray, mask: np.ndarray) -> bool:
-    hit = exceptional_f32(bits)
+def _screen(view, regs: tuple[int, ...], mask: np.ndarray) -> bool:
+    """True when some lane under ``mask`` holds a NaN, INF or subnormal
+    in FP32 register ``regs == (r,)`` or in the FP64 value of register
+    pair ``regs == (lo, hi)``; ``view`` is a warp or a cohort view."""
+    if len(regs) == 1:
+        hit = fpenc.exceptional_f32(view.read_u32(regs[0]))
+    else:
+        hit = fpenc.exceptional_f64(view.read_u32(regs[0]),
+                                    view.read_u32(regs[1]))
     hit &= mask
     return bool(hit.any())
+
+
+def _classify(view, regs: tuple[int, ...], mask: np.ndarray) -> np.ndarray:
+    """Lanes under ``mask`` per fpenc class of the value :func:`_screen`
+    reads: shape ``(4,)`` for a warp, ``(n, 4)`` for an ``n``-row cohort,
+    indexed VAL/NAN/INF/SUB (the VAL column also counts masked-off
+    lanes)."""
+    if len(regs) == 1:
+        codes = fpenc.classify_f32_bits(view.read_u32(regs[0]))
+    else:
+        bits = view.read_u32(regs[0]).astype(np.uint64)
+        bits |= view.read_u32(regs[1]).astype(np.uint64) << np.uint64(32)
+        codes = fpenc.classify_f64_bits(bits)
+    codes[~mask] = fpenc.VAL
+    if codes.ndim == 1:
+        return np.bincount(codes, minlength=4)
+    rows = codes.shape[0]
+    codes = codes + (np.arange(0, 4 * rows, 4)[:, None])
+    return np.bincount(codes.ravel(), minlength=4 * rows).reshape(rows, 4)
 
 
 @dataclass(slots=True)
@@ -195,19 +221,34 @@ class InjectionCtx:
     instr: Instruction
     exec_mask: np.ndarray
     args: tuple = ()
-    #: :meth:`screen_f32` answers by register, for this context's life.
+    #: :meth:`screen` and :meth:`classify` answers by register tuple,
+    #: for this context's life.
     _screens: dict = field(default_factory=dict, repr=False)
+    _classes: dict = field(default_factory=dict, repr=False)
 
-    def screen_f32(self, reg: int) -> bool:
+    def screen(self, regs: tuple[int, ...]) -> bool:
         """True when some lane under ``exec_mask`` holds a NaN, INF or
-        subnormal in FP32 register ``reg`` (when False, no FP32 check
-        on it can fire).  Every probe of this dispatch phase shares one
-        bit test per register."""
-        hit = self._screens.get(reg)
+        subnormal in FP32 register ``regs == (r,)`` or in the FP64 value
+        of register pair ``regs == (lo, hi)`` (when False, no check on
+        it can fire).  Every probe of this dispatch phase shares one bit
+        test per register tuple."""
+        hit = self._screens.get(regs)
         if hit is None:
-            hit = self._screens[reg] = _exceptional_under(
-                self.warp.read_u32(reg), self.exec_mask)
+            hit = self._screens[regs] = _screen(self.warp, regs,
+                                                self.exec_mask)
         return hit
+
+    def classify(self, regs: tuple[int, ...]) -> np.ndarray:
+        """Lane counts under ``exec_mask`` per fpenc class (indexed
+        VAL/NAN/INF/SUB; the VAL count also holds masked-off lanes) of
+        the value :meth:`screen` tests.  Every probe of this dispatch
+        phase shares one classification per register tuple; read-only.
+        """
+        counts = self._classes.get(regs)
+        if counts is None:
+            counts = self._classes[regs] = _classify(self.warp, regs,
+                                                     self.exec_mask)
+        return counts
 
     def charge(self, cycles: float) -> None:
         """Charge device cycles to this launch (tool-side overhead)."""
@@ -275,22 +316,33 @@ class CohortInjectionCtx:
     #: flat cohort-wide charge would land on one member's ledger).  ``None``
     #: outside the megabatch engine.
     row_stats: "tuple[LaunchStats, ...] | None" = None
-    #: :meth:`screen_f32` answers by register, for this context's life.
+    #: :meth:`screen` and :meth:`classify` answers by register tuple,
+    #: for this context's life.
     _screens: dict = field(default_factory=dict, repr=False)
+    _classes: dict = field(default_factory=dict, repr=False)
 
     @property
     def n(self) -> int:
         """Number of warps in the cohort."""
         return self.exec_masks.shape[0]
 
-    def screen_f32(self, reg: int) -> bool:
-        """:meth:`InjectionCtx.screen_f32` over the whole cohort: True
-        when some lane of some row under ``exec_masks`` is exceptional."""
-        hit = self._screens.get(reg)
+    def screen(self, regs: tuple[int, ...]) -> bool:
+        """:meth:`InjectionCtx.screen` over the whole cohort: True when
+        some lane of some row under ``exec_masks`` is exceptional."""
+        hit = self._screens.get(regs)
         if hit is None:
-            hit = self._screens[reg] = _exceptional_under(
-                self.cohort.read_u32(reg), self.exec_masks)
+            hit = self._screens[regs] = _screen(self.cohort, regs,
+                                                self.exec_masks)
         return hit
+
+    def classify(self, regs: tuple[int, ...]) -> np.ndarray:
+        """:meth:`InjectionCtx.classify` per cohort row: shape
+        ``(n, 4)``, row ``i`` counting warp ``i``'s lanes."""
+        counts = self._classes.get(regs)
+        if counts is None:
+            counts = self._classes[regs] = _classify(self.cohort, regs,
+                                                     self.exec_masks)
+        return counts
 
     def charge(self, cycles: float) -> None:
         """Charge device cycles to this launch (tool-side overhead)."""
@@ -525,7 +577,6 @@ class _WarpRunner:
         warp = self.warp
         launch = self.launch
         stats = launch.stats
-        ledgers = launch.ledgers
         call_cycles = launch.cost.injection_call_cycles
         before = launch.before
         after = launch.after
@@ -560,12 +611,7 @@ class _WarpRunner:
 
             injections = before.get(pc)
             if injections:
-                for inj in injections:
-                    ledger = ledgers[inj.observer]
-                    ledger.stats.injected_calls += 1
-                    ledger.stats.injected_cycles += call_cycles
-                    inj.fn(InjectionCtx(launch, ledger, warp, instr,
-                                        exec_mask, inj.args))
+                self._probe(injections, instr, exec_mask, call_cycles)
 
             if slots is not None and slots[pc] is not None:
                 advanced = shadow.run_fn(
@@ -576,17 +622,26 @@ class _WarpRunner:
 
             injections = after.get(pc)
             if injections:
-                for inj in injections:
-                    ledger = ledgers[inj.observer]
-                    ledger.stats.injected_calls += 1
-                    ledger.stats.injected_cycles += call_cycles
-                    inj.fn(InjectionCtx(launch, ledger, warp, instr,
-                                        exec_mask, inj.args))
+                self._probe(injections, instr, exec_mask, call_cycles)
 
             if warp.at_barrier:
                 return
             if not advanced:
                 warp.pc = pc + 1
+
+    def _probe(self, injections: list[Injection], instr: Instruction,
+               exec_mask: np.ndarray, call_cycles: float) -> None:
+        """Run one dispatch phase's injections (legacy loop): one
+        context for the phase, rebound to each probe's ledger and args
+        and charged per call."""
+        ledgers = self.launch.ledgers
+        ctx = InjectionCtx(self.launch, None, self.warp, instr, exec_mask)
+        for inj in injections:
+            ctx.ledger = ledger = ledgers[inj.observer]
+            ledger.stats.injected_calls += 1
+            ledger.stats.injected_cycles += call_cycles
+            ctx.args = inj.args
+            inj.fn(ctx)
 
     def _run_decoded(self, prog: "DecodedProgram", limit: int) -> None:
         """The decoded fast path: identical observable behaviour to

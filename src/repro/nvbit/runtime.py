@@ -149,7 +149,9 @@ class Observer:
         self.run = run
         self.shadow_tracker = shadow_tracker
         self.channel = Channel()
-        self._plans: dict[str, InstrumentationPlan] = {}
+        #: ``id(code) -> (code, plan)``: a plan is made for one kernel
+        #: object (held here, so its id is not reused while cached).
+        self._plans: dict[int, tuple[KernelCode, InstrumentationPlan]] = {}
 
     def should_instrument(self, kernel_name: str) -> bool:
         """This observer's Algorithm-3 decision for one invocation."""
@@ -157,18 +159,21 @@ class Observer:
             self.tool.should_instrument(kernel_name)
 
     def plan_for(self, code: KernelCode) -> InstrumentationPlan:
-        plan = self._plans.get(code.name)
-        if plan is None:
-            # NVBit JIT: first instrumented use of this kernel's SASS.
-            with get_telemetry().span(SPAN_NVBIT_INSTRUMENT,
-                                      kernel=code.name,
-                                      static_instrs=len(code)) as sp:
-                plan = self.tool.plan_kernel(code)
-                sp.set(hooks=len(plan))
-            get_telemetry().count(CTR_JIT_MISSES)
-            self._plans[code.name] = plan
-        else:
+        """This observer's plan for ``code``, made on its first
+        instrumented use.  Plans are keyed on the kernel object, not its
+        name: two different kernels sharing a name get a plan each."""
+        cached = self._plans.get(id(code))
+        if cached is not None:
             get_telemetry().count(CTR_JIT_HITS)
+            return cached[1]
+        # NVBit JIT: first instrumented use of this kernel's SASS.
+        with get_telemetry().span(SPAN_NVBIT_INSTRUMENT,
+                                  kernel=code.name,
+                                  static_instrs=len(code)) as sp:
+            plan = self.tool.plan_kernel(code)
+            sp.set(hooks=len(plan))
+        get_telemetry().count(CTR_JIT_MISSES)
+        self._plans[id(code)] = (code, plan)
         return plan
 
     def account(self, spec: "LaunchSpec", ex: "_Execution",
@@ -282,8 +287,9 @@ class ToolRuntime:
         #: when shadow execution is off; each observer's divergence
         #: tracker is its ``shadow_tracker``.
         self.shadow = shadow
-        #: (kernel fingerprint, ((observer, plan fingerprint), ...)) ->
-        #: decoded program; an empty tuple keys the bare decode.
+        #: (kernel fingerprint, ((observer, id(plan)), ...)) -> decoded
+        #: program; an empty tuple keys the bare decode.  Plans are the
+        #: observers' cached objects, alive as long as this cache.
         self._decoded_cache: dict[tuple, DecodedProgram] = {}
         self._started = False
 
@@ -311,8 +317,7 @@ class ToolRuntime:
                      ) -> DecodedProgram:
         # An *empty* plan still marks the launch instrumented and keys
         # differently from the bare decode.
-        key = (code.fingerprint(),
-               tuple((i, plan.fingerprint) for i, plan in plans))
+        key = (code.fingerprint(), tuple((i, id(plan)) for i, plan in plans))
         decoded = self._decoded_cache.get(key)
         if decoded is not None:
             get_telemetry().count(CTR_DECODE_CACHE_HIT)

@@ -31,7 +31,10 @@ probe of the same execution consumes (the analyzer's before-hook
 capture) is the one exception.  A probe must not keep its context
 after it returns: the engines build one context per warp (or cohort)
 and dispatch phase and rebind its ``ledger`` and ``args`` for each
-probe of that phase, and its ``screen_f32`` answers are that phase's.
+probe of that phase.  Every probe of a phase shares one screen and one
+classification per FP32 register ``(r,)`` or FP64 pair ``(lo, hi)``:
+``ctx.screen(regs)`` and ``ctx.classify(regs)`` answer once per register
+tuple for the life of the context, so those answers are that phase's.
 The runtime relies on this: several tools observe one execution, and a
 repeated stateless launch's warm invocation is a replay of the cold
 invocation's emissions, not a second execution.  Every tool in this

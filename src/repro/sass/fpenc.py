@@ -40,6 +40,7 @@ __all__ = [
     "join_f64_bits",
     "classify_f32_bits",
     "exceptional_f32",
+    "exceptional_f64",
     "classify_f64_bits",
     "classify_f16_bits",
     "classify_f32_value",
@@ -63,6 +64,9 @@ _F16_EXP_MASK = np.uint16(0x7C00)
 _F16_MAN_MASK = np.uint16(0x03FF)
 _SCREEN_BIAS = np.uint32(0x01000000)
 _SCREEN_TOP = np.uint32(0x02000000)
+_SCREEN64_BIAS = np.uint32(0x00200000)
+_SCREEN64_TOP = np.uint32(0x00400000)
+_ZERO32 = np.uint32(0)
 
 
 def f32_to_bits(value: float) -> int:
@@ -139,6 +143,24 @@ def exceptional_f32(bits: np.ndarray) -> np.ndarray:
     z = bits << np.uint32(1)
     z += _SCREEN_BIAS
     return (z < _SCREEN_TOP) & (z != _SCREEN_BIAS)
+
+
+def exceptional_f64(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Per-lane NaN/INF/subnormal flags of FP64 values held as register
+    words ``lo`` (``Rd``) and ``hi`` (``Rd+1``): the lanes
+    :func:`classify_f64_bits` does not call VAL, without joining the
+    words (the FP64 probes' screen).
+
+    The high word carries the sign, the 11-bit exponent and the top 20
+    mantissa bits.  ``z = (hi << 1) + 0x00200000`` in wrapping
+    ``uint32`` drops the sign and adds one to the exponent field, so
+    exponents 0x7FF (NaN/INF) and 0x000 (zero or subnormal) become the
+    two lowest: ``z < 0x00400000``.  Of those, only ``z == 0x00200000``
+    with a zero low word is ±0.
+    """
+    z = hi << np.uint32(1)
+    z += _SCREEN64_BIAS
+    return (z < _SCREEN64_TOP) & ((z != _SCREEN64_BIAS) | (lo != _ZERO32))
 
 
 def classify_f64_bits(bits: np.ndarray | int) -> np.ndarray | int:

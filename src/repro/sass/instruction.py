@@ -54,11 +54,13 @@ class Instruction:
     source_loc: str | None = None
     #: Program counter, assigned when the instruction joins a KernelCode.
     pc: int = -1
+    #: Static facts about the base opcode, resolved once at construction.
+    info: OpInfo = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         # Validates the opcode eagerly so malformed programs fail at build
         # time, not mid-kernel.
-        opcode_info(self.opcode)
+        self.info = opcode_info(self.opcode)
 
     # -- NVBit-style inspection API ---------------------------------------
 
@@ -98,10 +100,6 @@ class Instruction:
         return " ".join(parts) + " ;"
 
     # -- classification helpers used by the tools and the executor --------
-
-    @property
-    def info(self) -> OpInfo:
-        return opcode_info(self.opcode)
 
     @property
     def category(self) -> OpCategory:

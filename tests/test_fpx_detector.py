@@ -308,32 +308,43 @@ class TestFP32Screen:
         assert ok and flagged >= 3
 
     def test_masked_off_lanes_do_not_fire(self):
+        """Screen and classification see only lanes under the execution
+        mask, for an FP32 register and an FP64 pair, on a warp's context
+        and on a cohort's."""
         from repro.gpu.executor import CohortInjectionCtx, InjectionCtx
         from repro.gpu.warp import CohortView, Warp, WarpSet
 
-        bits = np.full(32, 0x3F800000, dtype=np.uint32)
-        bits[7] = 0x7FC00000
+        f32 = np.full(32, 0x3F800000, dtype=np.uint32)  # 1.0f
+        f32[7] = 0x7FC00000  # NaN
+        lo = np.zeros(32, dtype=np.uint32)
+        hi = np.full(32, 0x3FF00000, dtype=np.uint32)  # 1.0
+        hi[7] = 0x7FF80000  # NaN
+        on = np.ones(32, dtype=bool)
+        off = on.copy()
+        off[7] = False
 
-        def screen(mask):
+        def warp_ctx(mask):
             warp = Warp(0, 0, 0)
-            warp.regs[3] = bits
-            return InjectionCtx(None, None, warp, None, mask).screen_f32(3)
+            warp.regs[3], warp.regs[4], warp.regs[5] = f32, lo, hi
+            return InjectionCtx(None, None, warp, None, mask)
 
-        mask = np.ones(32, dtype=bool)
-        assert screen(mask)
-        mask[7] = False
-        assert not screen(mask)
         # the (n, 32) cohort shape
         wset = WarpSet(2)
-        wset.regs[:, 3] = bits
+        wset.regs[:, 3], wset.regs[:, 4], wset.regs[:, 5] = f32, lo, hi
 
-        def cohort_screen(masks):
+        def cohort_ctx(masks):
             view = CohortView(wset, np.arange(2))
-            return CohortInjectionCtx(None, None, view, None,
-                                      masks).screen_f32(3)
+            return CohortInjectionCtx(None, None, view, None, masks)
 
-        assert cohort_screen(np.stack([mask, ~mask]))
-        assert not cohort_screen(np.stack([mask, mask]))
+        for regs in ((3,), (4, 5)):
+            assert warp_ctx(on).screen(regs)
+            assert warp_ctx(on).classify(regs).tolist() == [31, 1, 0, 0]
+            assert not warp_ctx(off).screen(regs)
+            assert warp_ctx(off).classify(regs)[1:].tolist() == [0, 0, 0]
+            ctx = cohort_ctx(np.stack([off, on]))
+            assert ctx.screen(regs)
+            assert ctx.classify(regs)[:, 1].tolist() == [0, 1]
+            assert not cohort_ctx(np.stack([off, off])).screen(regs)
 
     #: R3 is clean before the FADD and INF after it; R1 stays 1.0.
     DISPATCH_KERNEL = """
@@ -354,7 +365,7 @@ class TestFP32Screen:
 
         def probe(label, reg):
             def fn(ctx):
-                seen.append((label, ctx.screen_f32(reg)))
+                seen.append((label, ctx.screen((reg,))))
             return fn
 
         class Screens(NVBitTool):
@@ -379,3 +390,113 @@ class TestFP32Screen:
         # the cohort engine probes its two warps as one cohort
         assert seen == [("R3 before", False), ("R1 after", False),
                         ("R3 after", True), ("R1 again", False)]
+
+
+class TestFP64Screen:
+    """The FP64 probes' screen, on the two register words of a pair,
+    flags exactly the lanes the full classification calls NaN, INF or
+    subnormal."""
+
+    @staticmethod
+    def _agrees(lo, hi):
+        from repro.sass.fpenc import VAL, classify_f64_bits, exceptional_f64
+
+        bits = lo.astype(np.uint64) | (hi.astype(np.uint64) << np.uint64(32))
+        want = classify_f64_bits(bits) != VAL
+        return np.array_equal(exceptional_f64(lo, hi), want), int(want.sum())
+
+    def test_every_sign_exponent_mantissa_corner(self):
+        # mantissa placements: none, low word only, high word only, both
+        places = ((0, 0), (1, 0), (0, 1), (0xFFFFFFFF, 0x80000))
+        words = [(lo_m, (sign << 31) | (exp << 20) | hi_m)
+                 for sign in (0, 1) for exp in (0, 1, 0x7FE, 0x7FF)
+                 for lo_m, hi_m in places]
+        lo = np.array([w[0] for w in words], dtype=np.uint32)
+        hi = np.array([w[1] for w in words], dtype=np.uint32)
+        ok, flagged = self._agrees(lo, hi)
+        assert ok
+        # exponent 0x7FF: 2 signs x 4 placements; exponent 0: 2 x 3 nonzero
+        assert flagged == 8 + 6
+
+    def test_random_words(self):
+        rng = np.random.default_rng(19)
+        lo = rng.integers(0, 2 ** 32, size=(64, 32), dtype=np.uint32)
+        hi = rng.integers(0, 2 ** 32, size=(64, 32), dtype=np.uint32)
+        # plant every class so the random draw cannot miss one: INF,
+        # NaN and subnormal set only in the low word, subnormal set only
+        # in the high word, -0, and a clean pair whose low word alone is
+        # an FP32 NaN pattern
+        hi[0, :6] = [0x7FF00000, 0xFFF00000, 0x00000000, 0x80000001,
+                     0x80000000, 0x3FF00000]
+        lo[0, :6] = [0, 1, 1, 0, 0, 0x7FC00000]
+        ok, flagged = self._agrees(lo, hi)
+        assert ok and flagged >= 4
+
+
+class TestSharedClassification:
+    """Observers probing one destination share one screen and one
+    classification per register tuple and dispatch phase, and one
+    Algorithm-1 site walk per kernel."""
+
+    #: FP32 R2 and FP64 (R8, R9) are clean; FP32 R4 and FP64 (R12, R13)
+    #: are INF.
+    KERNEL = """
+        MOV32I R1, 0x3f800000 ;
+        FADD R2, R1, R1 ;
+        MOV32I R3, 0x7f800000 ;
+        FMUL R4, R3, R1 ;
+        MOV32I R6, 0x0 ;
+        MOV32I R7, 0x3ff00000 ;
+        DADD R8, R6, R6 ;
+        MOV32I R10, 0x0 ;
+        MOV32I R11, 0x7ff00000 ;
+        DADD R12, R10, R6 ;
+        EXIT ;
+    """
+
+    @pytest.mark.parametrize("path, block", [("decoded", 32),
+                                             ("cohort", 64)])
+    def test_one_screen_and_classification_per_tuple(self, monkeypatch,
+                                                     path, block):
+        import sys
+
+        from repro.api import EXECUTION_PATHS, Session
+        from repro.binfpe import BinFPE
+        from repro.fpx import detector as detector_mod
+        from repro.sass import fpenc
+
+        calls = {}
+
+        def counting(name, fn):
+            def wrapper(*args):
+                calls[name] = calls.get(name, 0) + 1
+                return fn(*args)
+            return wrapper
+
+        # count every call, whichever module bound the function
+        for name in ("exceptional_f32", "exceptional_f64",
+                     "classify_f32_bits", "classify_f64_bits",
+                     "select_check"):
+            home = detector_mod if name == "select_check" else fpenc
+            fn = getattr(home, name)
+            for mod in list(sys.modules.values()):
+                if getattr(mod, "__name__", "").startswith("repro") \
+                        and getattr(mod, name, None) is fn:
+                    monkeypatch.setattr(mod, name, counting(name, fn))
+
+        code = KernelCode.assemble("shared", self.KERNEL)
+        tools = [BinFPE(), FPXDetector(DetectorConfig(use_gt=False)),
+                 FPXDetector()]
+        with Session(tools, **EXECUTION_PATHS[path]) as session:
+            session.run_schedule([LaunchSpec(code, LaunchConfig(1, block))])
+            for i in range(len(tools)):
+                report = session.report(observer=i)
+                assert report.count(FPFormat.FP32, ExceptionKind.INF) == 1
+                assert report.count(FPFormat.FP64, ExceptionKind.INF) == 1
+        # the cohort engine probes both warps as one cohort: either way
+        # one dispatch per FP instruction, each screened once for three
+        # probes, and only the exceptional one classified
+        assert calls == {"exceptional_f32": 2, "exceptional_f64": 2,
+                         "classify_f32_bits": 1, "classify_f64_bits": 1,
+                         "select_check": len(code)}
+

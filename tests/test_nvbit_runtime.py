@@ -82,6 +82,39 @@ class TestInterception:
         assert runtime.run.jit_cycles == 0
         assert runtime.run.launches == 5
 
+    @pytest.mark.parametrize("order", ["inf-first", "nan-first"])
+    def test_same_name_kernels_get_their_own_plans(self, order):
+        """Plans belong to the kernel, not its name: a session launching
+        two different kernels called ``k`` instruments each with its own
+        plan, and each reports what it reports alone."""
+        from repro.api import Session
+
+        inf = KernelCode.assemble("k", """
+            MOV32I R1, 0x7f800000 ;
+            FADD R2, R1, R1 ;
+            EXIT ;
+        """)
+        nan = KernelCode.assemble("k", """
+            MOV32I R1, 0x7f800000 ;
+            MOV32I R3, 0xff800000 ;
+            NOP ;
+            FADD R2, R1, R3 ;
+            EXIT ;
+        """)
+        kernels = [inf, nan] if order == "inf-first" else [nan, inf]
+
+        def records(codes):
+            detector = FPXDetector()
+            with Session(detector) as session:
+                session.run_schedule([spec(code) for code in codes])
+            report = detector.report()
+            return [(r.kind, report.sites.site(r.loc).sass)
+                    for r in report.records]
+
+        both = records(kernels)
+        assert both == records(kernels[:1]) + records(kernels[1:])
+        assert len(both) == 2
+
 
 #: Two warps per block; thread 40 divides by zero (INF, then NaN from
 #: INF*0) and every lane overflows, so every tool emits.
