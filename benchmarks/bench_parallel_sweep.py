@@ -1,7 +1,7 @@
 """Parallel sweep wall-clock benchmark — serial vs warm worker pool.
 
 Runs the Figure 4 sweep (four tool configurations per program) once on
-the legacy serial path, then twice through a persistent worker pool —
+the in-process serial path, then twice through a persistent worker pool —
 a cold first sweep (decode/build caches empty) and a warm second sweep
 (the pool's whole reason to exist) — and asserts
 

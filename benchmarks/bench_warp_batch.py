@@ -4,7 +4,7 @@ Launches with many resident warps are where cohort scheduling wins: all
 warps sharing a pc execute as ONE stacked ``(n_warps, 32)`` NumPy op —
 one ``DecodedOp`` dispatch, one operand gather, one injection probe —
 instead of ``n_warps`` separate interpreter steps.  ``--no-warp-batch``
-(``warp_batch=False``) is the legacy one-warp-at-a-time engine.
+(``warp_batch=False``) is the serial one-warp-at-a-time decoded loop.
 
 The catalog's 151 programs are all ``grid_dim=1`` (1-2 warps), so this
 bench builds its own >= 4-warp workloads via :func:`make_compute_program`

@@ -22,13 +22,11 @@ The pre-facade entry points — ``Device.launch_raw`` and direct
 ``ToolRuntime(...)`` construction — completed their deprecation cycle
 and now raise :class:`RuntimeError` with directions here.
 
-Knobs: ``decode_cache=False`` runs the legacy per-instruction
-interpreter (the ``--no-decode-cache`` CLI flag); ``warp_batch=False``
-forces the serial per-warp engine instead of the warp-cohort batched
-executor (``--no-warp-batch``); ``megabatch=False`` makes
-:meth:`Session.run_batch` take the serial member loop
-(``--no-megabatch``).  All default on and all are bit-exact: reports,
-stats and channel streams are identical either way.
+Knobs: ``warp_batch=False`` forces the serial per-warp engine instead
+of the warp-cohort batched executor (``--no-warp-batch``);
+``megabatch=False`` makes :meth:`Session.run_batch` take the serial
+member loop (``--no-megabatch``).  Both default on and both are
+bit-exact: reports, stats and channel streams are identical either way.
 """
 
 from __future__ import annotations
@@ -48,21 +46,18 @@ if TYPE_CHECKING:  # pragma: no cover
 __all__ = ["EXECUTION_PATHS", "Session"]
 
 #: The in-process execution paths a launch can take, as
-#: ``name -> Session keyword arguments``.  ``legacy`` is the
-#: per-instruction dict-dispatch interpreter, ``decoded`` the serial
+#: ``name -> Session keyword arguments``.  ``decoded`` is the serial
 #: pre-decoded micro-op pipeline, ``cohort`` the warp-batched engine
 #: (which engages on multi-warp launches and falls back to ``decoded``
 #: otherwise), ``megabatch`` the launch-batched engine reached through
 #: :meth:`Session.run_batch` (N independent launches stacked into one
 #: pass).  The remaining path — the process-pool sweep — is not a
 #: Session knob but a :func:`repro.harness.parallel.run_sweep` fan-out
-#: over sessions; :mod:`repro.conformance` exercises all five.
+#: over sessions; :mod:`repro.conformance` exercises all four.
 EXECUTION_PATHS: dict[str, dict] = {
-    "legacy": {"decode_cache": False, "warp_batch": False},
-    "decoded": {"decode_cache": True, "warp_batch": False},
-    "cohort": {"decode_cache": True, "warp_batch": True},
-    "megabatch": {"decode_cache": True, "warp_batch": True,
-                  "megabatch": True},
+    "decoded": {"warp_batch": False},
+    "cohort": {"warp_batch": True},
+    "megabatch": {"warp_batch": True, "megabatch": True},
 }
 
 
@@ -83,9 +78,6 @@ class Session:
     cost:
         Cost model for the fresh device; mutually exclusive with
         ``device``.
-    decode_cache:
-        ``False`` bypasses the decoded-micro-op cache and runs the
-        legacy dict-dispatch interpreter.
     warp_batch:
         ``False`` disables the warp-cohort batched executor.
     megabatch:
@@ -124,7 +116,6 @@ class Session:
     def __init__(self, tool: NVBitTool | None = None,
                  device: Device | None = None, *,
                  cost: CostModel | None = None,
-                 decode_cache: bool = True,
                  warp_batch: bool = True,
                  megabatch: bool = True,
                  shadow=None,
@@ -148,7 +139,6 @@ class Session:
         #: ``None`` when the shadow plane is off.
         self.shadow_tracker = trackers[0] if trackers else None
         self.runtime = ToolRuntime(device, tools,
-                                   decode_cache=decode_cache,
                                    warp_batch=warp_batch,
                                    megabatch=megabatch,
                                    shadow=shadow_cfg,

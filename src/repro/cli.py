@@ -33,7 +33,6 @@ Every subcommand accepts the same SHARED option group::
     --events out.jsonl export a JSONL structured event log
     --metrics          print telemetry counters/histograms afterwards
     --serve-metrics P  serve live /metrics, /healthz, /flight on port P
-    --no-decode-cache  legacy per-instruction interpreter
     --no-warp-batch    serial per-warp engine (no cohort batching)
     --no-megabatch     serial member loop for run_batch (no stacking)
     --shadow           shadow-precision execution: re-run FP ops at
@@ -44,12 +43,12 @@ Every subcommand accepts the same SHARED option group::
 ``run`` executes one benchmark program under the chosen tool and prints
 the exception report (Listing 6 format) plus the modeled slowdown;
 ``table``/``figure`` regenerate a paper artifact over the full set,
-sharded across ``--jobs`` worker processes (``--jobs 1`` is the legacy
-serial path — output is byte-identical either way).  ``--json`` emits
+sharded across ``--jobs`` worker processes (``--jobs 1`` runs the sweep
+in-process — output is byte-identical either way).  ``--json`` emits
 the report + stats as one JSON object.  ``telemetry summarize`` renders
 a per-phase breakdown of a saved trace.  ``conformance`` drives the
 differential engine: ``fuzz`` generates and checks seeded cases across
-all five execution paths, ``replay`` re-runs the checked-in regression
+all four execution paths, ``replay`` re-runs the checked-in regression
 corpus, ``shrink`` minimises a diverging case file.  ``serve`` runs the
 async exception-checking job service (``POST /v1/jobs``; see
 ``docs/SERVICE.md``).  All runs go through :class:`repro.api.Session`.
@@ -219,7 +218,6 @@ def cmd_run(args) -> int:
         base, stats, report, analyzer = run_workload(
             program, args.tool, options=_options(args),
             detector_config=config,
-            decode_cache=not args.no_decode_cache,
             warp_batch=not args.no_warp_batch,
             shadow=_shadow_arg(args))
 
@@ -341,9 +339,7 @@ def _cmd_profile_hotspots(args) -> int:
         return 2
     _, scope = _telemetry_scope(args)
     with scope, profile_pcs() as table:
-        run_detector(program,
-                     decode_cache=not args.no_decode_cache,
-                     warp_batch=not args.no_warp_batch)
+        run_detector(program, warp_batch=not args.no_warp_batch)
     print(render_hotspots(table, top=args.top))
     if args.flame:
         from .telemetry.flame import write_collapsed
@@ -362,8 +358,7 @@ def cmd_table(args) -> int:
     from .harness.tables import table4, table5, table6, table7
     from .workloads import EXCEPTION_PROGRAMS, exception_programs
     n, jobs = args.number, args.jobs
-    knobs = dict(decode_cache=not args.no_decode_cache,
-                 warp_batch=not args.no_warp_batch)
+    knobs = dict(warp_batch=not args.no_warp_batch)
     _, scope = _telemetry_scope(args)
     with scope as tel:
         try:
@@ -396,8 +391,7 @@ def cmd_figure(args) -> int:
     from .harness.parallel import SweepError
     from .workloads import all_programs, program_by_name
     n, jobs = args.number, args.jobs
-    knobs = dict(decode_cache=not args.no_decode_cache,
-                 warp_batch=not args.no_warp_batch)
+    knobs = dict(warp_batch=not args.no_warp_batch)
     _, scope = _telemetry_scope(args)
     with scope as tel:
         try:
@@ -604,9 +598,6 @@ def shared_parser() -> argparse.ArgumentParser:
                    help="serve live /metrics, /healthz and /flight on "
                         "this port for the command's duration (0 = "
                         "ephemeral; implies an enabled registry)")
-    g.add_argument("--no-decode-cache", action="store_true",
-                   help="bypass the decoded-program cache and run the "
-                        "legacy per-instruction interpreter")
     g.add_argument("--no-warp-batch", action="store_true",
                    help="force the serial per-warp engine instead of "
                         "the warp-cohort batched executor")
@@ -750,7 +741,7 @@ def build_parser() -> argparse.ArgumentParser:
     def mutate_arg(sp):
         sp.add_argument("--mutate", action="append", default=[],
                         metavar="FLAG",
-                        help="enable an executor fault-injection flag "
+                        help="enable a simulator fault-injection flag "
                              "(for exercising the engine itself)")
 
     pf = csub.add_parser(

@@ -1,21 +1,21 @@
 """Differential fuzzing + conformance for the four execution paths.
 
-The simulator can execute a launch four ways — the legacy interpreter,
-the decoded serial pipeline, the warp-cohort batched engine, and the
-process-pool sweep — and every one of them must be observationally
-identical.  This package makes that a tested property instead of a
-hoped-for one:
+The simulator can execute a launch four ways — the decoded serial
+pipeline, the warp-cohort batched engine, the launch-batched megabatch
+engine, and the process-pool sweep — and every one of them must be
+observationally identical.  This package makes that a tested property
+instead of a hoped-for one:
 
 * :mod:`.generator` — seeded SASS + operand-vector generation biased
   toward exception-adjacent bit patterns;
 * :mod:`.engine` — runs each case on all four paths, asserting
   bit-identical register state, channel-record streams (order
   included) and exception classifications, plus a pure-Python
-  IEEE-754 oracle check;
+  IEEE-754 oracle check of the reference ``decoded`` path;
 * :mod:`.shrink` — reduces a diverging case to a minimal reproducer;
 * :mod:`.corpus` — the checked-in regression corpus
   (``tests/corpus/*.json``) replayed forever by the tier-1 suite;
-* :mod:`.mutation` — executor fault injection, so the engine's
+* :mod:`.mutation` — simulator fault injection, so the engine's
   bug-catching power is itself under test.
 
 CLI: ``python -m repro.cli conformance fuzz|replay|shrink``.

@@ -1,28 +1,28 @@
 """The differential conformance engine.
 
 Every :class:`~repro.conformance.generator.Case` is executed on all
-five execution paths and the observable behaviour is compared:
+four execution paths and the observable behaviour is compared:
 
-1. **legacy** — the per-instruction dict-dispatch interpreter
-   (``Session(decode_cache=False, warp_batch=False)``);
-2. **decoded** — the serial pre-decoded micro-op pipeline;
-3. **cohort** — the warp-batched engine (the generated two-warp
+1. **decoded** — the serial pre-decoded micro-op pipeline
+   (``Session(warp_batch=False)``), the reference path;
+2. **cohort** — the warp-batched engine (the generated two-warp
    geometry makes it genuinely engage);
-4. **megabatch** — the launch-batched engine: the case is stacked
+3. **megabatch** — the launch-batched engine: the case is stacked
    twice through ``Session.run_batch`` and the *second* member (a
    nonzero partition offset) is observed, with the members
    cross-checked for identity;
-5. **sweep** — the process-pool fan-out: :func:`fuzz` shards case
+4. **sweep** — the process-pool fan-out: :func:`fuzz` shards case
    batches through :func:`repro.harness.parallel.run_sweep` and the
    parent re-runs a deterministic sample in-process, comparing digests
    across the pickle boundary.
 
-Paths 1–4 must agree **bit-identically**: output-buffer register state,
+Paths 1–3 must agree **bit-identically**: output-buffer register state,
 the channel-record stream *including order*, the decoded record set and
-the rendered report.  The reference path is additionally checked
-against the pure-Python IEEE-754 oracle (:mod:`.oracle`) — value by
-value — and against an independent reimplementation of the Algorithm-1
-exception classification (NaN/INF/SUB/DIV0 per destination).
+the rendered report.  They share the decoded closures, so the reference
+path is additionally checked against the pure-Python IEEE-754 oracle
+(:mod:`.oracle`) — value by value — and against an independent
+reimplementation of the Algorithm-1 exception classification
+(NaN/INF/SUB/DIV0 per destination).
 """
 
 from __future__ import annotations

@@ -1,18 +1,21 @@
 """Per-instruction IEEE-754 oracle — pure Python, independent of NumPy.
 
 The differential engine (:mod:`repro.conformance.engine`) checks the
-three in-process execution paths against each other *bit for bit*; this
-module supplies the fourth, independent opinion: a scalar re-execution
-of every generated program on top of nothing but :mod:`struct`,
-:mod:`math` and :mod:`fractions`.  If a NumPy upgrade (or a bug in the
-executor's vectorised handlers) changes a rounding, a special-case, or
-an FTZ flush, the oracle disagrees and the fuzzer shrinks a reproducer.
+three in-process execution paths against each other *bit for bit*; they
+all run the same decoded closures (:mod:`repro.gpu.decode`), so a bug in
+those closures moves every path alike.  This module supplies the
+independent opinion, checked value by value against the reference
+``decoded`` path: a scalar re-execution of every generated program on
+top of nothing but :mod:`struct`, :mod:`math` and :mod:`fractions`.  If
+a NumPy upgrade (or a bug in the decoded vectorised closures) changes a
+rounding, a special-case, or an FTZ flush, the oracle disagrees and the
+fuzzer shrinks a reproducer.
 
 Strictness tiers, chosen per operation (see ``docs/CONFORMANCE.md``):
 
 * **bit-exact** — FADD/FMUL (binary64 compute + one binary32 rounding
   is exact for p=24 by Figueroa's 2p+2 theorem), DADD/DMUL (Python
-  floats *are* binary64), FFMA/DFMA (exact ports of the executor's
+  floats *are* binary64), FFMA/DFMA (exact ports of the decoder's
   ``_ffma32``/``_fma64``), MUFU.RCP/RSQ/SQRT (correctly-rounded via
   exact rationals), MUFU.RCP64H (binary64 division);
 * **tolerance** — MUFU.EX2/LG2/SIN/COS go through the platform libm in
@@ -210,7 +213,7 @@ def fmul32(a: float, b: float) -> float:
 
 
 def ffma32(a: float, b: float, c: float) -> float:
-    """Mirror of the executor's ``_ffma32``: the binary64 product of two
+    """Mirror of the decoder's ``_ffma32``: the binary64 product of two
     binary32 values is exact, the sum takes one binary64 rounding, the
     conversion one binary32 rounding — a deliberate double rounding
     shared with the engine (documented as differing from hardware FMA).
@@ -233,7 +236,7 @@ _SPLITTER = 134217729.0  # 2**27 + 1 (Dekker)
 
 
 def dfma64(a: float, b: float, c: float) -> float:
-    """Scalar port of the executor's compensated ``_fma64``."""
+    """Scalar port of the decoder's compensated ``_fma64``."""
     p = a * b
     plain = p + c
     if not (math.isfinite(a) and math.isfinite(b) and math.isfinite(c)

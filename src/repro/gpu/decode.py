@@ -1,9 +1,7 @@
 """The decode/execute split: pre-decoded micro-op programs.
 
-The legacy interpreter re-resolves opcode semantics through a string-keyed
-dispatch table, re-walks ``source_operands()``, re-checks ``.FTZ``/abs/neg
-modifiers and probes the per-pc injection dicts on *every* executed
-instruction.  This module does that work exactly once per kernel: each
+This module holds the simulator's instruction semantics, resolved
+exactly once per kernel rather than on every executed instruction: each
 :class:`~repro.sass.instruction.Instruction` is decoded into a
 :class:`DecodedOp` whose ``execute`` closure has the semantic handler
 bound, every source/destination operand resolved to a pre-built accessor
@@ -17,12 +15,27 @@ instrumenting SASS once at JIT time rather than interpreting per dynamic
 instruction, applied to the simulator itself.  Decoded programs carry no
 launch state (constant-bank reads, memory and warp state are fetched
 through the runner at execute time), so one decoded program is shared by
-every warp, launch and repeat of its kernel.
+every warp, launch and repeat of its kernel, on every engine of
+:mod:`repro.gpu.executor`.
 
-Semantics are intentionally bit-identical to the legacy path in
-:mod:`repro.gpu.executor`; ``tests/test_decode_equivalence.py`` holds the
-two pipelines to identical register state, exception reports and channel
-byte counts over every registered workload.
+The semantics are checked value by value against the pure-Python
+IEEE-754 oracle (:mod:`repro.conformance.oracle`) and held by
+``tests/test_decode_equivalence.py`` to the register state, exception
+reports and channel byte counts frozen from the per-instruction
+interpreter they replaced, over every registered workload.
+
+Numerical notes:
+
+- FP32 three-input FMA is evaluated in float64 (exact product, one extra
+  rounding on the sum); this can differ from a hardware FFMA only in
+  rare double-rounding ties, which no workload in this repo depends on.
+- FP64 DFMA is evaluated with a Dekker/Knuth compensated product+sum, so
+  fused-contraction effects (a*b+c with c = -round(a*b) leaving a
+  subnormal residual — the Table 6 mechanism) are reproduced exactly.
+- ``.FTZ`` flushes subnormal FP32 inputs and outputs to sign-preserving
+  zero, as ``--use_fast_math`` code generation does.
+- The closures run with floating-point error reporting off: the engines
+  enter one ``np.errstate(all="ignore")`` per launch.
 """
 
 from __future__ import annotations
@@ -38,24 +51,16 @@ from ..sass.operands import Operand, OperandType
 from ..sass.program import KernelCode
 from ..telemetry import get_telemetry
 from ..telemetry.names import CTR_DIVERGENT_BRANCHES
-from .executor import (
-    _CMP_MODS,
-    _GENERIC_FP,
-    ExecutionError,
-    Injection,
-    _ffma32,
-    _fma64,
-    _ftz32,
-    fp_compare,
-)
+from .executor import ExecutionError, Injection
 from .sfu import mufu_f32, mufu_rcp64h
-from .warp import WARP_SIZE
+from .warp import _MUTATIONS, WARP_SIZE
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..nvbit.plan import InstrumentationPlan
     from .executor import _WarpRunner
 
-__all__ = ["DecodedOp", "DecodedProgram", "decode_program", "fuse_plan"]
+__all__ = ["DecodedOp", "DecodedProgram", "decode_program", "fuse_plan",
+           "fp_compare"]
 
 #: Accessor signature: fetch one operand's 32-lane vector from a runner.
 SrcFn = Callable[["_WarpRunner"], np.ndarray]
@@ -66,6 +71,94 @@ _LANES = np.arange(WARP_SIZE, dtype=np.uint32)
 
 _MUFU_EXEC_FUNCS = ("RCP", "RCP64H", "RSQ", "SQRT", "EX2", "LG2", "SIN",
                     "COS")
+
+
+# ---------------------------------------------------------------------------
+# numeric kernels
+# ---------------------------------------------------------------------------
+
+
+def _ftz32(x: np.ndarray) -> np.ndarray:
+    """Flush FP32 subnormals to sign-preserving zero."""
+    bits = np.asarray(x, dtype=np.float32).view(np.uint32)
+    sub = ((bits & np.uint32(0x7F800000)) == 0) & \
+          ((bits & np.uint32(0x007FFFFF)) != 0)
+    if not sub.any():
+        return x
+    out = np.where(sub, (bits & np.uint32(0x80000000)), bits.copy())
+    return out.astype(np.uint32).view(np.float32)
+
+
+_SPLITTER = np.float64(134217729.0)  # 2**27 + 1 (Dekker)
+
+
+def _fma64(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """Compensated fused multiply-add for float64 lanes."""
+    plain = a * b + c
+    finite = np.isfinite(a) & np.isfinite(b) & np.isfinite(c) & \
+        np.isfinite(a * b)
+    # moderate magnitudes only: Dekker splitting overflows near 1e300
+    safe = finite & (np.abs(a) < 1e150) & (np.abs(b) < 1e150)
+    if not safe.any():
+        return plain
+    aa = a * _SPLITTER
+    ahi = aa - (aa - a)
+    alo = a - ahi
+    bb = b * _SPLITTER
+    bhi = bb - (bb - b)
+    blo = b - bhi
+    p = a * b
+    e = ((ahi * bhi - p) + ahi * blo + alo * bhi) + alo * blo
+    s = p + c
+    v = s - p
+    f = (p - (s - v)) + (c - v)
+    comp = s + (e + f)
+    return np.where(safe, comp, plain)
+
+
+def _ffma32(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """FP32 FMA via float64 (exact product; one extra rounding on sum)."""
+    return (a.astype(np.float64) * b.astype(np.float64)
+            + c.astype(np.float64)).astype(np.float32)
+
+
+#: Textual FP immediates (GENERIC operands) and their values.
+_GENERIC_FP = {
+    "+INF": np.inf, "INF": np.inf, "-INF": -np.inf,
+    "+QNAN": np.nan, "-QNAN": np.nan, "QNAN": np.nan,
+    "+NAN": np.nan, "-NAN": np.nan,
+}
+
+_CMP_MODS = ("LT", "GT", "LE", "GE", "EQ", "NE", "NEU", "LTU", "GTU",
+             "GEU", "LEU")
+
+
+def fp_compare(a: np.ndarray, b: np.ndarray, cmp: str) -> np.ndarray:
+    """Lane-wise SASS comparison (ordered and unordered variants)."""
+    if cmp == "LT":
+        return a < b
+    if cmp == "GT":
+        return a > b
+    if cmp == "LE":
+        return a <= b
+    if cmp == "GE":
+        return a >= b
+    if cmp == "EQ":
+        return a == b
+    if cmp == "NE":
+        return (a != b) & ~(np.isnan(a) | np.isnan(b))
+    unordered = np.isnan(a) | np.isnan(b)
+    if cmp == "NEU":
+        return (a != b) | unordered
+    if cmp == "LTU":
+        return (a < b) | unordered
+    if cmp == "GTU":
+        return (a > b) | unordered
+    if cmp == "GEU":
+        return (a >= b) | unordered
+    if cmp == "LEU":
+        return (a <= b) | unordered
+    raise ExecutionError(f"unknown comparison {cmp}")
 
 
 #: Opcodes the cohort engine must run warp-at-a-time: per-warp scalars
@@ -123,7 +216,7 @@ class DecodedProgram:
     #: True when the cohort engine can run this program: every op that
     #: carries injections is vectorizable and every injection has a
     #: cohort-aware probe.  Bare programs are always ready; a plan whose
-    #: tool lacks cohort probes (e.g. a stateful legacy tool) falls back
+    #: tool lacks cohort probes (e.g. the analyzer's) falls back
     #: to the serial per-warp loop.
     cohort_ready: bool = True
 
@@ -315,8 +408,8 @@ def _fold_float_mods(vals: np.ndarray, op: Operand,
 
 
 def _wrap_float_mods(fetch: SrcFn, op: Operand, ftz: bool) -> SrcFn:
-    # Modifier order matches the legacy path: abs, then neg, then the
-    # handler-level flush-to-zero.
+    # Modifier order: abs, then neg, then the handler-level
+    # flush-to-zero (as :func:`_fold_float_mods` folds constants).
     if op.absolute:
         inner_abs = fetch
         fetch = lambda st: np.abs(inner_abs(st))
@@ -345,7 +438,9 @@ def _dec_fp32_binary(fn):
         if ftz:
             def ex(st, mask):
                 d = fn(a(st), b(st)).astype(np.float32)
-                st.warp.write_f32(dest, _ftz32(d), mask)
+                if "fp32-drop-ftz-flush" not in _MUTATIONS:
+                    d = _ftz32(d)
+                st.warp.write_f32(dest, d, mask)
                 return False
         else:
             def ex(st, mask):

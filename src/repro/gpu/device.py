@@ -1,7 +1,8 @@
 """The device: memory and the raw kernel-launch entry point.
 
-``Device._launch_kernel`` executes a kernel with optional
-instrumentation hooks.  It deliberately knows nothing about tools:
+``Device._launch_kernel`` executes a kernel's decoded program, with
+whatever instrumentation is fused into it.  It deliberately knows
+nothing about tools:
 interception and instrumentation policy live in
 :mod:`repro.nvbit.runtime`, mirroring how NVBit sits between the CUDA
 driver API and the GPU (Figure 1 of the paper).  The old public
@@ -12,7 +13,6 @@ launches go through :class:`repro.api.Session`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -20,12 +20,10 @@ from ..sass.program import KernelCode
 from ..telemetry import get_telemetry
 from ..telemetry.names import SPAN_GPU_LAUNCH
 from .cost import CostModel, DEFAULT_COST_MODEL, LaunchStats
-from .executor import (Injection, LaunchContext, Ledger, execute_launch,
+from .decode import DecodedProgram, decode_program
+from .executor import (LaunchContext, Ledger, execute_launch,
                        execute_megabatch, replay)
 from .memory import ConstBanks, GlobalMemory, MegaGlobalMemory
-
-if TYPE_CHECKING:  # pragma: no cover
-    from .decode import DecodedProgram
 
 __all__ = ["Device", "LaunchConfig"]
 
@@ -89,19 +87,17 @@ class Device:
 
     def _launch_kernel(self, code: KernelCode, config: LaunchConfig,
                        params: list[int] | None = None,
-                       hooks: list[tuple[int, Injection]] | None = None,
-                       decoded: "DecodedProgram | None" = None,
+                       decoded: DecodedProgram | None = None,
                        warp_batch: bool = True,
                        shadow=None,
                        ledgers: "list[Ledger | None] | None" = None,
                        ) -> LaunchStats:
         """Execute one kernel launch and return its dynamic counts.
 
-        ``hooks`` is a list of ``(pc, Injection)`` pairs — the instrumented
-        SASS the (simulated) JIT produced for this launch.  ``decoded`` is
-        a pre-decoded micro-op program (see :mod:`repro.gpu.decode`); when
-        given, the decoded fast path runs and ``hooks`` is ignored — the
-        program carries its own fused injections.  ``warp_batch`` permits
+        ``decoded`` is the micro-op program to run (see
+        :mod:`repro.gpu.decode`), carrying the injections the (simulated)
+        JIT fused in for this launch; without it the launch runs the
+        kernel's bare decode, uninstrumented.  ``warp_batch`` permits
         the warp-cohort batched engine on eligible launches.
 
         ``ledgers`` (observer index -> :class:`Ledger`) receive each
@@ -110,6 +106,8 @@ class Device:
         is the returned stats (pushes are counted, payloads dropped), and
         its emissions are replayed before returning.
         """
+        if decoded is None:
+            decoded = decode_program(code)
         cbanks = ConstBanks()
         cbanks.set_params(list(params or []))
         stats = LaunchStats()
@@ -129,16 +127,10 @@ class Device:
             warp_batch=warp_batch,
             shadow=shadow,
         )
-        if decoded is None:
-            for pc, inj in hooks or ():
-                bucket = launch.before if inj.when == "before" \
-                    else launch.after
-                bucket.setdefault(pc, []).append(inj)
-        # hooks=None means the launch ran the original binary; an empty
-        # hook list still means the kernel was JIT-instrumented (a tool
-        # that injects nothing into this kernel pays the JIT anyway).
-        stats.instrumented = decoded.instrumented if decoded is not None \
-            else hooks is not None
+        # A fused program counts as instrumented even when its plans
+        # are empty: a tool that injects nothing into this kernel pays
+        # the JIT anyway.
+        stats.instrumented = decoded.instrumented
         with get_telemetry().span(SPAN_GPU_LAUNCH, kernel=code.name,
                                   grid=config.grid_dim,
                                   block=config.block_dim,
@@ -156,7 +148,7 @@ class Device:
 
     def _launch_megabatch(self, code: KernelCode, config: LaunchConfig,
                           params_list: "list[list[int]]",
-                          decoded: "DecodedProgram",
+                          decoded: DecodedProgram,
                           ledgers: "list[Ledger | None]",
                           shadow=None,
                           ) -> tuple[list[LaunchStats], MegaGlobalMemory]:

@@ -1,26 +1,21 @@
-"""The SIMT instruction executor.
+"""The SIMT execution engines.
 
-Executes one kernel launch: every block, warp by warp (round-robin across
-BAR.SYNC barriers), with NumPy-vectorised 32-lane semantics per
-instruction.  Instrumentation hooks — the analogue of NVBit's injected
-device functions — run before/after chosen instructions and receive an
-:class:`InjectionCtx` exposing the warp, the execution mask, and charge /
-channel-push facilities.
+Executes one kernel launch of a decoded micro-op program
+(:mod:`repro.gpu.decode`, which holds the per-op semantics and their
+numerical notes) in one of three ways: the serial engine runs every
+block warp by warp (round-robin across BAR.SYNC barriers), the
+warp-cohort engine runs every warp of the launch stacked by pc, and the
+megabatch engine stacks several member launches the same way.  Each op
+is NumPy-vectorised over its 32 lanes (or its cohort's rows).
+Instrumentation hooks — the analogue of NVBit's injected device
+functions — are fused into the decoded ops, run before/after chosen
+instructions and receive an :class:`InjectionCtx` exposing the warp, the
+execution mask, and charge / channel-push facilities.
 
-Numerical notes:
-
-- FP32 three-input FMA is evaluated in float64 (exact product, one extra
-  rounding on the sum); this can differ from a hardware FFMA only in
-  rare double-rounding ties, which no workload in this repo depends on.
-- FP64 DFMA is evaluated with a Dekker/Knuth compensated product+sum, so
-  fused-contraction effects (a*b+c with c = -round(a*b) leaving a
-  subnormal residual — the Table 6 mechanism) are reproduced exactly.
-- ``.FTZ`` flushes subnormal FP32 inputs and outputs to sign-preserving
-  zero, as ``--use_fast_math`` code generation does.
-- Floating-point error reporting is off for a whole launch:
-  :func:`execute_launch` and :func:`execute_megabatch` run under one
-  ``np.errstate(all="ignore")``, so the per-op semantics never pay
-  for entering it.
+Floating-point error reporting is off for a whole launch:
+:func:`execute_launch` and :func:`execute_megabatch` run under one
+``np.errstate(all="ignore")``, so the per-op semantics never pay for
+entering it.
 
 Execution is bounded: a launch may run at most
 :data:`WARP_INSTR_BUDGET` warp instructions per warp, checked once per
@@ -37,13 +32,11 @@ import numpy as np
 
 from ..sass import fpenc
 from ..sass.instruction import Instruction
-from ..sass.operands import Operand, OperandType, RZ
 from ..sass.program import KernelCode
 from ..telemetry import get_telemetry
-from ..telemetry.names import CTR_CHANNEL_BYTES, CTR_DIVERGENT_BRANCHES
+from ..telemetry.names import CTR_CHANNEL_BYTES
 from .cost import CostModel, LaunchStats
 from .memory import ConstBanks, GlobalMemory, SharedMemory
-from .sfu import mufu_f32, mufu_rcp64h
 from .warp import FULL_MASK, WARP_SIZE, CohortView, Warp, WarpSet
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -52,7 +45,7 @@ if TYPE_CHECKING:  # pragma: no cover
 
 __all__ = ["Injection", "InjectionCtx", "CohortInjectionCtx", "Ledger",
            "LaunchContext", "execute_launch", "execute_megabatch",
-           "replay", "ExecutionError", "WARP_INSTR_BUDGET", "fp_compare"]
+           "replay", "ExecutionError", "WARP_INSTR_BUDGET"]
 
 
 class ExecutionError(RuntimeError):
@@ -151,17 +144,13 @@ class LaunchContext:
     cost: CostModel
     grid_dim: int
     block_dim: int
+    #: The decoded micro-op program the launch runs, every observer's
+    #: injections fused into its per-op slots.
+    decoded: "DecodedProgram"
     #: Observer index -> :class:`Ledger`, ``None`` for observers that do
     #: not instrument this launch (emptied once the launch has run).
     ledgers: list = field(default_factory=list)
     shared: SharedMemory | None = None
-    #: pc -> injections, split by phase for dispatch speed (legacy path).
-    before: dict[int, list[Injection]] = field(default_factory=dict)
-    after: dict[int, list[Injection]] = field(default_factory=dict)
-    #: Pre-decoded micro-op program; when set, warps run the decoded loop
-    #: and the ``before``/``after`` dicts are ignored (injections are
-    #: fused into the program's per-op slots).
-    decoded: "DecodedProgram | None" = None
     #: Allow the warp-cohort batched engine (used when the decoded
     #: program is cohort-ready and the launch has more than one warp).
     warp_batch: bool = True
@@ -300,7 +289,7 @@ class CohortInjectionCtx:
     ``exec_masks`` the matching ``(n, 32)`` execution masks.  Anything
     that must read register state happens *now*, vectorised over the
     stack; anything that emits (channel pushes, GT updates) is handed to
-    :meth:`defer`, which the engine sorts into canonical legacy order —
+    :meth:`defer`, which the engine sorts into canonical order —
     (block, barrier phase, warp, program order) — so the channel record
     stream is bit-identical to the serial engine's.
     """
@@ -369,76 +358,10 @@ class CohortInjectionCtx:
         self._defer(self.ledger, row, fn, args)
 
 
-# ---------------------------------------------------------------------------
-# numeric helpers
-# ---------------------------------------------------------------------------
-
-_F32_TINY = np.float32(1.1754944e-38)  # smallest normal FP32
-
-
-def _ftz32(x: np.ndarray) -> np.ndarray:
-    """Flush FP32 subnormals to sign-preserving zero."""
-    bits = np.asarray(x, dtype=np.float32).view(np.uint32)
-    sub = ((bits & np.uint32(0x7F800000)) == 0) & \
-          ((bits & np.uint32(0x007FFFFF)) != 0)
-    if not sub.any():
-        return x
-    out = np.where(sub, (bits & np.uint32(0x80000000)), bits.copy())
-    return out.astype(np.uint32).view(np.float32)
-
-
-_SPLITTER = np.float64(134217729.0)  # 2**27 + 1 (Dekker)
-
-
-def _fma64(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """Compensated fused multiply-add for float64 lanes (runs under the
-    launch's ``errstate``, like every per-op helper here)."""
-    plain = a * b + c
-    finite = np.isfinite(a) & np.isfinite(b) & np.isfinite(c) & \
-        np.isfinite(a * b)
-    # moderate magnitudes only: Dekker splitting overflows near 1e300
-    safe = finite & (np.abs(a) < 1e150) & (np.abs(b) < 1e150)
-    if not safe.any():
-        return plain
-    aa = a * _SPLITTER
-    ahi = aa - (aa - a)
-    alo = a - ahi
-    bb = b * _SPLITTER
-    bhi = bb - (bb - b)
-    blo = b - bhi
-    p = a * b
-    e = ((ahi * bhi - p) + ahi * blo + alo * bhi) + alo * blo
-    s = p + c
-    v = s - p
-    f = (p - (s - v)) + (c - v)
-    comp = s + (e + f)
-    return np.where(safe, comp, plain)
-
-
-def _ffma32(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """FP32 FMA via float64 (exact product; one extra rounding on sum)."""
-    return (a.astype(np.float64) * b.astype(np.float64)
-            + c.astype(np.float64)).astype(np.float32)
-
-
-_GENERIC_FP = {
-    "+INF": np.inf, "INF": np.inf, "-INF": -np.inf,
-    "+QNAN": np.nan, "-QNAN": np.nan, "QNAN": np.nan,
-    "+NAN": np.nan, "-NAN": np.nan,
-}
-
-#: Fault-injection flags for conformance testing (test-only; see
-#: :mod:`repro.conformance.mutation`).  Handlers consult this set to
-#: deliberately mis-execute — e.g. ``"legacy-fp32-drop-ftz-flush"``
-#: makes the legacy interpreter skip the FTZ output flush so the
-#: differential engine can prove it catches a single-path bug.  Empty
-#: in production; the membership test on an empty set is ~free.
-_MUTATIONS: set[str] = set()
-
 #: The per-pc hotspot profiler sink (a
 #: :class:`repro.harness.profile.ProfileTable`), or ``None`` when
-#: profiling is off.  Module-level like :data:`_MUTATIONS` so the
-#: executor keeps no import edge to the harness; installed for a scope
+#: profiling is off.  Module-level so the executor keeps no import
+#: edge to the harness; installed for a scope
 #: by :func:`repro.harness.profile.profile_pcs`.  Every hot loop guards
 #: its feed with ``if _PROFILE is not None`` — one global load per
 #: instruction when off.
@@ -451,206 +374,21 @@ def set_profile_sink(sink) -> None:
     _PROFILE = sink
 
 
-def _apply_srcmods(vals: np.ndarray, op: Operand) -> np.ndarray:
-    if op.absolute:
-        vals = np.abs(vals)
-    if op.negated:
-        vals = -vals
-    return vals
-
-
-_CMP_MODS = ("LT", "GT", "LE", "GE", "EQ", "NE", "NEU", "LTU", "GTU",
-             "GEU", "LEU")
-
-
-def fp_compare(a: np.ndarray, b: np.ndarray, cmp: str) -> np.ndarray:
-    """Lane-wise SASS comparison (ordered and unordered variants)."""
-    if cmp == "LT":
-        return a < b
-    if cmp == "GT":
-        return a > b
-    if cmp == "LE":
-        return a <= b
-    if cmp == "GE":
-        return a >= b
-    if cmp == "EQ":
-        return a == b
-    if cmp == "NE":
-        return (a != b) & ~(np.isnan(a) | np.isnan(b))
-    unordered = np.isnan(a) | np.isnan(b)
-    if cmp == "NEU":
-        return (a != b) | unordered
-    if cmp == "LTU":
-        return (a < b) | unordered
-    if cmp == "GTU":
-        return (a > b) | unordered
-    if cmp == "GEU":
-        return (a >= b) | unordered
-    if cmp == "LEU":
-        return (a <= b) | unordered
-    raise ExecutionError(f"unknown comparison {cmp}")
-
-
 class _WarpRunner:
-    """Executes one warp against a launch context."""
+    """Executes one warp of a launch's decoded program."""
 
     def __init__(self, launch: LaunchContext, warp: Warp) -> None:
         self.launch = launch
         self.warp = warp
         self.code = launch.code
-        self.instrs = launch.code.instructions
-        self.n = len(launch.code)
-
-    # -- operand reads ------------------------------------------------------
-
-    def src_f32(self, op: Operand) -> np.ndarray:
-        t = op.type
-        if t is OperandType.REG:
-            vals = self.warp.read_f32(op.num)
-        elif t is OperandType.IMM_DOUBLE:
-            vals = np.full(WARP_SIZE, np.float32(op.value), dtype=np.float32)
-        elif t is OperandType.GENERIC:
-            text = op.text.upper()
-            if text in _GENERIC_FP:
-                vals = np.full(WARP_SIZE, np.float32(_GENERIC_FP[text]),
-                               dtype=np.float32)
-            else:
-                raise ExecutionError(f"bad GENERIC fp operand {op.text!r}")
-        elif t is OperandType.CBANK:
-            bits = self.launch.cbanks.read_u32(op.cbank_id, op.offset)
-            vals = np.full(WARP_SIZE, np.uint32(bits),
-                           dtype=np.uint32).view(np.float32)
-        else:
-            raise ExecutionError(f"operand not usable as f32 source: {op}")
-        return _apply_srcmods(vals, op)
-
-    def src_f64(self, op: Operand) -> np.ndarray:
-        t = op.type
-        if t is OperandType.REG:
-            vals = self.warp.read_f64_pair(op.num)
-        elif t is OperandType.IMM_DOUBLE:
-            vals = np.full(WARP_SIZE, np.float64(op.value), dtype=np.float64)
-        elif t is OperandType.GENERIC:
-            text = op.text.upper()
-            if text in _GENERIC_FP:
-                vals = np.full(WARP_SIZE, np.float64(_GENERIC_FP[text]),
-                               dtype=np.float64)
-            else:
-                raise ExecutionError(f"bad GENERIC fp operand {op.text!r}")
-        elif t is OperandType.CBANK:
-            bits = self.launch.cbanks.read_u64(op.cbank_id, op.offset)
-            vals = np.full(WARP_SIZE, np.uint64(bits),
-                           dtype=np.uint64).view(np.float64)
-        else:
-            raise ExecutionError(f"operand not usable as f64 source: {op}")
-        return _apply_srcmods(vals, op)
-
-    def src_u32(self, op: Operand) -> np.ndarray:
-        t = op.type
-        if t is OperandType.REG:
-            vals = self.warp.read_u32(op.num).copy()
-        elif t is OperandType.IMM_INT:
-            vals = np.full(WARP_SIZE, np.uint32(op.ivalue & 0xFFFFFFFF),
-                           dtype=np.uint32)
-        elif t is OperandType.IMM_DOUBLE:
-            vals = np.full(WARP_SIZE,
-                           np.float32(op.value), dtype=np.float32).view(np.uint32)
-        elif t is OperandType.CBANK:
-            vals = np.full(
-                WARP_SIZE,
-                np.uint32(self.launch.cbanks.read_u32(op.cbank_id, op.offset)),
-                dtype=np.uint32)
-        else:
-            raise ExecutionError(f"operand not usable as u32 source: {op}")
-        if op.negated:
-            vals = (np.uint32(0) - vals).astype(np.uint32)
-        return vals
-
-    # -- main loop -----------------------------------------------------------
 
     def run(self, limit: int) -> None:
         """Run until EXIT (all lanes) or a barrier.  ``limit`` caps the
-        launch's total warp instructions (see :data:`WARP_INSTR_BUDGET`)."""
-        if self.launch.decoded is not None:
-            self._run_decoded(self.launch.decoded, limit)
-            return
-        warp = self.warp
-        launch = self.launch
-        stats = launch.stats
-        call_cycles = launch.cost.injection_call_cycles
-        before = launch.before
-        after = launch.after
-        shadow = launch.shadow
-        slots = shadow.slots if shadow is not None else None
-        warp.at_barrier = False
-        while not warp.done:
-            pc = warp.pc
-            if pc >= self.n:
-                raise ExecutionError(
-                    f"{self.code.name}: fell off the end of the kernel")
-            instr = self.instrs[pc]
-            if instr.guard is not None:
-                guard_mask = warp.read_pred(instr.guard.pred_num,
-                                            instr.guard.negated)
-                exec_mask = warp.active & guard_mask
-            else:
-                exec_mask = warp.active.copy()
+        launch's total warp instructions (see :data:`WARP_INSTR_BUDGET`).
 
-            stats.warp_instrs += 1
-            if stats.warp_instrs > limit:
-                raise _over_budget(self.code, limit)
-            lanes = int(exec_mask.sum())
-            stats.thread_instrs += lanes
-            info = instr.info
-            stats.base_cycles += info.cycles
-            if info.fp_width:
-                stats.fp_warp_instrs += 1
-                stats.fp_thread_instrs += lanes
-            if _PROFILE is not None:
-                _PROFILE.add(self.code.name, pc, instr.opcode, info.cycles)
-
-            injections = before.get(pc)
-            if injections:
-                self._probe(injections, instr, exec_mask, call_cycles)
-
-            if slots is not None and slots[pc] is not None:
-                advanced = shadow.run_fn(
-                    slots[pc], self, exec_mask,
-                    lambda: self._execute(instr, exec_mask))
-            else:
-                advanced = self._execute(instr, exec_mask)
-
-            injections = after.get(pc)
-            if injections:
-                self._probe(injections, instr, exec_mask, call_cycles)
-
-            if warp.at_barrier:
-                return
-            if not advanced:
-                warp.pc = pc + 1
-
-    def _probe(self, injections: list[Injection], instr: Instruction,
-               exec_mask: np.ndarray, call_cycles: float) -> None:
-        """Run one dispatch phase's injections (legacy loop): one
-        context for the phase, rebound to each probe's ledger and args
-        and charged per call."""
-        ledgers = self.launch.ledgers
-        ctx = InjectionCtx(self.launch, None, self.warp, instr, exec_mask)
-        for inj in injections:
-            ctx.ledger = ledger = ledgers[inj.observer]
-            ledger.stats.injected_calls += 1
-            ledger.stats.injected_cycles += call_cycles
-            ctx.args = inj.args
-            inj.fn(ctx)
-
-    def _run_decoded(self, prog: "DecodedProgram", limit: int) -> None:
-        """The decoded fast path: identical observable behaviour to
-        :meth:`run`, but every per-instruction resolution (dispatch,
-        operand accessors, modifier folding, injection-dict probes) was
-        done once at decode time.
-
-        Further liberties over the legacy loop, all observation-
-        preserving: counters accumulate in locals and flush on exit (all
+        Every per-instruction resolution (dispatch, operand accessors,
+        modifier folding, injection slots) was done once at decode time.
+        Counters accumulate in locals and flush on exit (all
         per-instruction cycle charges are integer-valued, so the batched
         float sums are exact); the unguarded exec mask aliases
         ``warp.active`` instead of copying it (no handler mutates the
@@ -664,7 +402,7 @@ class _WarpRunner:
         shadow = launch.shadow
         slots = shadow.slots if shadow is not None else None
         count_nonzero = np.count_nonzero
-        ops = prog.ops
+        ops = launch.decoded.ops
         n = len(ops)
         warp.at_barrier = False
         warp_instrs = thread_instrs = fp_warps = fp_threads = 0
@@ -744,537 +482,6 @@ class _WarpRunner:
             stats.fp_warp_instrs += fp_warps
             stats.fp_thread_instrs += fp_threads
             _charge_calls(launch, calls)
-
-    # -- instruction semantics ------------------------------------------------
-    # Each handler returns True when it already set warp.pc (branches).
-
-    def _execute(self, instr: Instruction, mask: np.ndarray) -> bool:
-        op = instr.opcode
-        handler = _DISPATCH.get(op)
-        if handler is None:
-            raise ExecutionError(
-                f"{self.code.name}: no semantics for opcode {op} "
-                f"at pc {instr.pc}: {instr.getSASS()}")
-        return handler(self, instr, mask)
-
-    # FP32 arithmetic -------------------------------------------------------
-
-    def _fp32_binary(self, instr: Instruction, mask: np.ndarray,
-                     fn) -> bool:
-        srcs = instr.source_operands()
-        a = self.src_f32(srcs[0])
-        b = self.src_f32(srcs[1])
-        ftz = instr.has_modifier("FTZ")
-        if ftz:
-            a, b = _ftz32(a), _ftz32(b)
-        with np.errstate(all="ignore"):
-            d = fn(a, b).astype(np.float32)
-        if ftz and "legacy-fp32-drop-ftz-flush" not in _MUTATIONS:
-            d = _ftz32(d)
-        self.warp.write_f32(instr.dest_reg(), d, mask)
-        return False
-
-    def _op_fadd(self, instr, mask):
-        return self._fp32_binary(instr, mask, lambda a, b: a + b)
-
-    def _op_fmul(self, instr, mask):
-        return self._fp32_binary(instr, mask, lambda a, b: a * b)
-
-    def _op_ffma(self, instr, mask):
-        srcs = instr.source_operands()
-        a = self.src_f32(srcs[0])
-        b = self.src_f32(srcs[1])
-        c = self.src_f32(srcs[2])
-        ftz = instr.has_modifier("FTZ")
-        if ftz:
-            a, b, c = _ftz32(a), _ftz32(b), _ftz32(c)
-        d = _ffma32(a, b, c)
-        if ftz:
-            d = _ftz32(d)
-        self.warp.write_f32(instr.dest_reg(), d, mask)
-        return False
-
-    def _op_mufu(self, instr, mask):
-        func = next((m for m in instr.modifiers if m in
-                     ("RCP", "RCP64H", "RSQ", "SQRT", "EX2", "LG2", "SIN",
-                      "COS")), None)
-        if func is None:
-            raise ExecutionError(f"MUFU without function: {instr.getSASS()}")
-        src = instr.source_operands()[0]
-        dest = instr.dest_reg()
-        if func == "RCP64H":
-            if src.type is not OperandType.REG:
-                raise ExecutionError("MUFU.RCP64H needs a register source")
-            high = self.warp.read_u32(src.num)
-            self.warp.write_u32(dest, mufu_rcp64h(high), mask)
-            return False
-        x = self.src_f32(src)
-        if instr.has_modifier("FTZ"):
-            x = _ftz32(x)
-        d = mufu_f32(func, x)
-        if instr.has_modifier("FTZ"):
-            d = _ftz32(d)
-        self.warp.write_f32(dest, d, mask)
-        return False
-
-    def _op_fchk(self, instr, mask):
-        """FCHK.DIVIDE P, Ra, Rb: true when a/b needs the slow path."""
-        pd = instr.dest_pred()
-        srcs = instr.source_operands()
-        a = self.src_f32(srcs[0])
-        b = self.src_f32(srcs[1])
-        bits_b = b.view(np.uint32)
-        exp_b = (bits_b & np.uint32(0x7F800000))
-        # slow path when divisor is zero / subnormal / inf / nan, the
-        # dividend is inf/nan, or exponents are extreme.
-        bad_b = (exp_b == 0) | (exp_b == np.uint32(0x7F800000))
-        bits_a = a.view(np.uint32)
-        exp_a = bits_a & np.uint32(0x7F800000)
-        bad_a = exp_a == np.uint32(0x7F800000)
-        extreme = (exp_a >= np.uint32(0x7E000000)) | \
-                  (exp_b >= np.uint32(0x7E000000))
-        self.warp.write_pred(pd, bad_a | bad_b | extreme, mask)
-        return False
-
-    # FP64 arithmetic -------------------------------------------------------
-
-    def _fp64_binary(self, instr, mask, fn) -> bool:
-        srcs = instr.source_operands()
-        a = self.src_f64(srcs[0])
-        b = self.src_f64(srcs[1])
-        with np.errstate(all="ignore"):
-            d = fn(a, b)
-        self.warp.write_f64_pair(instr.dest_reg(), d, mask)
-        return False
-
-    def _op_dadd(self, instr, mask):
-        return self._fp64_binary(instr, mask, lambda a, b: a + b)
-
-    def _op_dmul(self, instr, mask):
-        return self._fp64_binary(instr, mask, lambda a, b: a * b)
-
-    def _op_dfma(self, instr, mask):
-        srcs = instr.source_operands()
-        a = self.src_f64(srcs[0])
-        b = self.src_f64(srcs[1])
-        c = self.src_f64(srcs[2])
-        d = _fma64(a, b, c)
-        self.warp.write_f64_pair(instr.dest_reg(), d, mask)
-        return False
-
-    # FP16 extension ----------------------------------------------------------
-
-    def _fp16_op(self, instr, mask, fn) -> bool:
-        srcs = instr.source_operands()
-        vals = []
-        for s in srcs:
-            u = self.src_u32(s)
-            lo = (u & np.uint32(0xFFFF)).astype(np.uint16).view(np.float16)
-            hi = (u >> np.uint32(16)).astype(np.uint16).view(np.float16)
-            vals.append((lo, hi))
-        with np.errstate(all="ignore"):
-            lo = fn(*[v[0] for v in vals]).astype(np.float16)
-            hi = fn(*[v[1] for v in vals]).astype(np.float16)
-        packed = (lo.view(np.uint16).astype(np.uint32)
-                  | (hi.view(np.uint16).astype(np.uint32) << np.uint32(16)))
-        self.warp.write_u32(instr.dest_reg(), packed, mask)
-        return False
-
-    def _op_hadd2(self, instr, mask):
-        return self._fp16_op(instr, mask, lambda a, b: a + b)
-
-    def _op_hmul2(self, instr, mask):
-        return self._fp16_op(instr, mask, lambda a, b: a * b)
-
-    def _op_hfma2(self, instr, mask):
-        return self._fp16_op(instr, mask, lambda a, b, c: a * b + c)
-
-    # FP control flow (Table 1, right column) ----------------------------------
-
-    def _op_fsel(self, instr, mask):
-        """FSEL Rd, Ra, Rb, P: d = P ? a : b."""
-        srcs = instr.source_operands()
-        a = self.src_f32(srcs[0])
-        b = self.src_f32(srcs[1])
-        p = srcs[2]
-        if p.type is not OperandType.PRED:
-            raise ExecutionError("FSEL needs a predicate source")
-        sel = self.warp.read_pred(p.num, p.negated)
-        self.warp.write_f32(instr.dest_reg(), np.where(sel, a, b), mask)
-        return False
-
-    def _op_fmnmx(self, instr, mask):
-        """FMNMX Rd, Ra, Rb, P: d = P ? min(a,b) : max(a,b).
-
-        NVIDIA follows IEEE 754-2008 here: when exactly one operand is a
-        NaN, the *non-NaN* operand is returned — NaNs do not propagate
-        (§1: "NVIDIA adheres to the 2008 IEEE standard which does not
-        require NaN propagation").
-        """
-        srcs = instr.source_operands()
-        a = self.src_f32(srcs[0])
-        b = self.src_f32(srcs[1])
-        p = srcs[2]
-        sel = self.warp.read_pred(p.num, p.negated)
-        with np.errstate(all="ignore"):
-            mn = np.fmin(a, b)  # fmin/fmax implement 2008-style NaN handling
-            mx = np.fmax(a, b)
-        self.warp.write_f32(instr.dest_reg(), np.where(sel, mn, mx), mask)
-        return False
-
-    def _fp_compare(self, a: np.ndarray, b: np.ndarray,
-                    cmp: str) -> np.ndarray:
-        return fp_compare(a, b, cmp)
-
-    _CMP_MODS = _CMP_MODS
-
-    def _op_fset(self, instr, mask):
-        """FSET.BF.<cmp>.<bool> Rd, Ra, Rb, P: 1.0f/0.0f mask result."""
-        cmp = next(m for m in instr.modifiers if m in self._CMP_MODS)
-        boolop = "AND" if "AND" in instr.modifiers else (
-            "OR" if "OR" in instr.modifiers else "AND")
-        srcs = instr.source_operands()
-        a = self.src_f32(srcs[0])
-        b = self.src_f32(srcs[1])
-        p = srcs[2]
-        combine = self.warp.read_pred(p.num, p.negated)
-        r = self._fp_compare(a, b, cmp)
-        r = (r & combine) if boolop == "AND" else (r | combine)
-        d = np.where(r, np.float32(1.0), np.float32(0.0))
-        self.warp.write_f32(instr.dest_reg(), d, mask)
-        return False
-
-    def _setp_common(self, instr, mask, a, b):
-        cmp = next(m for m in instr.modifiers if m in self._CMP_MODS)
-        boolop = "OR" if "OR" in instr.modifiers else "AND"
-        preds = [o for o in instr.operands if o.type is OperandType.PRED]
-        if len(preds) < 3:
-            raise ExecutionError(
-                f"SETP needs Pdst, Pdst2, ..., Pcombine: {instr.getSASS()}")
-        pdst, pdst2, pcomb = preds[0], preds[1], preds[-1]
-        combine = self.warp.read_pred(pcomb.num, pcomb.negated)
-        r = self._fp_compare(a, b, cmp)
-        if boolop == "AND":
-            self.warp.write_pred(pdst.num, r & combine, mask)
-            self.warp.write_pred(pdst2.num, (~r) & combine, mask)
-        else:
-            self.warp.write_pred(pdst.num, r | combine, mask)
-            self.warp.write_pred(pdst2.num, (~r) | combine, mask)
-        return False
-
-    def _fp_setp_sources(self, instr, width: int):
-        srcs = [o for o in instr.source_operands()
-                if o.type is not OperandType.PRED]
-        read = self.src_f32 if width == 32 else self.src_f64
-        return read(srcs[0]), read(srcs[1])
-
-    def _op_fsetp(self, instr, mask):
-        a, b = self._fp_setp_sources(instr, 32)
-        return self._setp_common(instr, mask, a, b)
-
-    def _op_dsetp(self, instr, mask):
-        a, b = self._fp_setp_sources(instr, 64)
-        return self._setp_common(instr, mask, a, b)
-
-    # conversions ---------------------------------------------------------------
-
-    def _op_f2f(self, instr, mask):
-        mods = [m for m in instr.modifiers if m in ("F16", "F32", "F64")]
-        if len(mods) != 2:
-            raise ExecutionError(f"F2F needs dst.src widths: {instr.getSASS()}")
-        dst_w, src_w = mods
-        src = instr.source_operands()[0]
-        if src_w == "F64":
-            x = self.src_f64(src)
-        elif src_w == "F32":
-            x = self.src_f32(src)
-        else:
-            u = self.src_u32(src)
-            x = (u & np.uint32(0xFFFF)).astype(np.uint16).view(np.float16)
-        dest = instr.dest_reg()
-        with np.errstate(all="ignore"):
-            if dst_w == "F64":
-                self.warp.write_f64_pair(dest, x.astype(np.float64), mask)
-            elif dst_w == "F32":
-                self.warp.write_f32(dest, x.astype(np.float32), mask)
-            else:
-                h = x.astype(np.float16).view(np.uint16).astype(np.uint32)
-                self.warp.write_u32(dest, h, mask)
-        return False
-
-    def _op_i2f(self, instr, mask):
-        src = self.src_u32(instr.source_operands()[0])
-        signed = src.view(np.int32)
-        if "F64" in instr.modifiers:
-            self.warp.write_f64_pair(instr.dest_reg(),
-                                     signed.astype(np.float64), mask)
-        else:
-            self.warp.write_f32(instr.dest_reg(),
-                                signed.astype(np.float32), mask)
-        return False
-
-    def _op_f2i(self, instr, mask):
-        src = instr.source_operands()[0]
-        x = self.src_f64(src) if "F64" in instr.modifiers else \
-            self.src_f32(src)
-        with np.errstate(all="ignore"):
-            x64 = np.nan_to_num(x.astype(np.float64), nan=0.0,
-                                posinf=2**31 - 1, neginf=-(2**31))
-            vals = np.clip(np.trunc(x64), -(2**31), 2**31 - 1).astype(np.int64)
-        self.warp.write_u32(instr.dest_reg(),
-                            vals.astype(np.int32).view(np.uint32), mask)
-        return False
-
-    # integer scaffolding ---------------------------------------------------------
-
-    def _op_mov(self, instr, mask):
-        src = instr.source_operands()[0]
-        self.warp.write_u32(instr.dest_reg(), self.src_u32(src), mask)
-        return False
-
-    def _op_iadd3(self, instr, mask):
-        srcs = instr.source_operands()
-        total = np.zeros(WARP_SIZE, dtype=np.uint64)
-        for s in srcs:
-            total += self.src_u32(s)
-        self.warp.write_u32(instr.dest_reg(),
-                            (total & np.uint64(0xFFFFFFFF)).astype(np.uint32),
-                            mask)
-        return False
-
-    def _op_imad(self, instr, mask):
-        srcs = instr.source_operands()
-        a = self.src_u32(srcs[0]).astype(np.uint64)
-        b = self.src_u32(srcs[1]).astype(np.uint64)
-        c = self.src_u32(srcs[2]).astype(np.uint64) if len(srcs) > 2 else \
-            np.zeros(WARP_SIZE, dtype=np.uint64)
-        prod = a * b + c
-        dest = instr.dest_reg()
-        if "WIDE" in instr.modifiers:
-            self.warp.write_u32(dest,
-                                (prod & np.uint64(0xFFFFFFFF)).astype(np.uint32),
-                                mask)
-            self.warp.write_u32(dest + 1,
-                                (prod >> np.uint64(32)).astype(np.uint32), mask)
-        else:
-            self.warp.write_u32(dest,
-                                (prod & np.uint64(0xFFFFFFFF)).astype(np.uint32),
-                                mask)
-        return False
-
-    def _op_isetp(self, instr, mask):
-        srcs = [o for o in instr.source_operands()
-                if o.type is not OperandType.PRED]
-        a = self.src_u32(srcs[0])
-        b = self.src_u32(srcs[1])
-        if "U32" not in instr.modifiers:
-            a = a.view(np.int32)
-            b = b.view(np.int32)
-        return self._setp_common(instr, mask, a, b)
-
-    def _op_lop3(self, instr, mask):
-        srcs = instr.source_operands()
-        a = self.src_u32(srcs[0])
-        b = self.src_u32(srcs[1])
-        c = self.src_u32(srcs[2])
-        lut = srcs[3].ivalue if len(srcs) > 3 else 0xC0  # default a&b
-        out = np.zeros(WARP_SIZE, dtype=np.uint32)
-        for minterm in range(8):
-            if not (lut >> minterm) & 1:
-                continue
-            am = a if (minterm & 4) else ~a
-            bm = b if (minterm & 2) else ~b
-            cm = c if (minterm & 1) else ~c
-            out |= am & bm & cm
-        self.warp.write_u32(instr.dest_reg(), out, mask)
-        return False
-
-    def _op_shf(self, instr, mask):
-        srcs = instr.source_operands()
-        a = self.src_u32(srcs[0])
-        s = self.src_u32(srcs[1]) & np.uint32(31)
-        if "R" in instr.modifiers:
-            out = a >> s
-        else:
-            out = a << s
-        self.warp.write_u32(instr.dest_reg(), out.astype(np.uint32), mask)
-        return False
-
-    def _op_sel(self, instr, mask):
-        """SEL Rd, Ra, Rb, P: bitwise select — d = P ? a : b."""
-        srcs = instr.source_operands()
-        a = self.src_u32(srcs[0])
-        b = self.src_u32(srcs[1])
-        p = srcs[2]
-        if p.type is not OperandType.PRED:
-            raise ExecutionError("SEL needs a predicate source")
-        sel = self.warp.read_pred(p.num, p.negated)
-        self.warp.write_u32(instr.dest_reg(), np.where(sel, a, b), mask)
-        return False
-
-    def _op_s2r(self, instr, mask):
-        src = instr.source_operands()[0]
-        name = src.text.upper()
-        warp = self.warp
-        lanes = np.arange(WARP_SIZE, dtype=np.uint32)
-        if name in ("SR_TID.X", "SR_TID"):
-            block_threads = warp.first_thread - warp.block_id * \
-                self.launch.block_dim
-            vals = np.uint32(block_threads) + lanes
-        elif name in ("SR_CTAID.X", "SR_CTAID"):
-            vals = np.full(WARP_SIZE, np.uint32(warp.block_id),
-                           dtype=np.uint32)
-        elif name == "SR_LANEID":
-            vals = lanes
-        elif name == "SR_NTID.X":
-            vals = np.full(WARP_SIZE, np.uint32(self.launch.block_dim),
-                           dtype=np.uint32)
-        elif name == "SR_GRIDDIM.X":
-            vals = np.full(WARP_SIZE, np.uint32(self.launch.grid_dim),
-                           dtype=np.uint32)
-        else:
-            raise ExecutionError(f"unknown special register {name!r}")
-        warp.write_u32(instr.dest_reg(), vals, mask)
-        return False
-
-    # memory -------------------------------------------------------------------
-
-    def _mref_addrs(self, op: Operand) -> np.ndarray:
-        base = self.warp.read_u32(op.num).astype(np.uint32)
-        return base + np.uint32(op.offset & 0xFFFFFFFF)
-
-    def _op_ldg(self, instr, mask):
-        m = next(o for o in instr.operands if o.type is OperandType.MREF)
-        addrs = self._mref_addrs(m)
-        dest = instr.dest_reg()
-        gm = self.launch.global_mem
-        if "64" in instr.modifiers:
-            low, high = gm.load_u64(addrs, mask)
-            self.warp.write_u32(dest, low, mask)
-            self.warp.write_u32(dest + 1, high, mask)
-        else:
-            self.warp.write_u32(dest, gm.load_u32(addrs, mask), mask)
-        return False
-
-    def _op_stg(self, instr, mask):
-        m = next(o for o in instr.operands if o.type is OperandType.MREF)
-        src = next(o for o in instr.operands if o.type is OperandType.REG)
-        addrs = self._mref_addrs(m)
-        gm = self.launch.global_mem
-        if "64" in instr.modifiers:
-            gm.store_u64(addrs, self.warp.read_u32(src.num),
-                         self.warp.read_u32(src.num + 1), mask)
-        else:
-            gm.store_u32(addrs, self.warp.read_u32(src.num), mask)
-        return False
-
-    def _op_ldc(self, instr, mask):
-        src = next(o for o in instr.operands if o.type is OperandType.CBANK)
-        dest = instr.dest_reg()
-        if "64" in instr.modifiers:
-            bits = self.launch.cbanks.read_u64(src.cbank_id, src.offset)
-            self.warp.write_u32(dest, np.full(WARP_SIZE,
-                                              np.uint32(bits & 0xFFFFFFFF)),
-                                mask)
-            self.warp.write_u32(dest + 1,
-                                np.full(WARP_SIZE, np.uint32(bits >> 32)),
-                                mask)
-        else:
-            bits = self.launch.cbanks.read_u32(src.cbank_id, src.offset)
-            self.warp.write_u32(dest,
-                                np.full(WARP_SIZE, np.uint32(bits)), mask)
-        return False
-
-    def _op_lds(self, instr, mask):
-        if self.launch.shared is None:
-            raise ExecutionError("LDS without shared memory")
-        m = next(o for o in instr.operands if o.type is OperandType.MREF)
-        addrs = self._mref_addrs(m)
-        self.warp.write_u32(instr.dest_reg(),
-                            self.launch.shared.load_u32(addrs, mask), mask)
-        return False
-
-    def _op_sts(self, instr, mask):
-        if self.launch.shared is None:
-            raise ExecutionError("STS without shared memory")
-        m = next(o for o in instr.operands if o.type is OperandType.MREF)
-        src = next(o for o in instr.operands if o.type is OperandType.REG)
-        addrs = self._mref_addrs(m)
-        self.launch.shared.store_u32(addrs, self.warp.read_u32(src.num), mask)
-        return False
-
-    # branches / structure -------------------------------------------------------
-
-    def _op_bra(self, instr, mask):
-        warp = self.warp
-        target = self.code.target_pc(instr.pc)
-        taken = mask
-        not_taken = warp.active & ~taken
-        if not taken.any():
-            return False  # falls through
-        if not not_taken.any():
-            warp.pc = target
-            return True
-        # divergent branch: stash the taken path, continue fall-through
-        get_telemetry().count(CTR_DIVERGENT_BRANCHES)
-        warp.push_div(target, taken)
-        warp.active = not_taken
-        return False
-
-    def _op_ssy(self, instr, mask):
-        self.warp.push_ssy(self.code.target_pc(instr.pc))
-        return False
-
-    def _op_sync(self, instr, mask):
-        self.warp.pop_to_pending()
-        return True
-
-    def _op_bar(self, instr, mask):
-        self.warp.at_barrier = True
-        self.warp.pc = instr.pc + 1
-        return True
-
-    def _op_exit(self, instr, mask):
-        warp = self.warp
-        remaining = warp.active & ~mask
-        warp.exited |= mask
-        warp.active = remaining
-        if remaining.any():
-            # guarded EXIT: surviving lanes fall through
-            return False
-        warp.pop_to_pending()  # switch to a pending path or finish
-        return True
-
-    def _op_nop(self, instr, mask):
-        return False
-
-
-_DISPATCH: dict[str, Callable] = {
-    "FADD": _WarpRunner._op_fadd, "FADD32I": _WarpRunner._op_fadd,
-    "FMUL": _WarpRunner._op_fmul, "FMUL32I": _WarpRunner._op_fmul,
-    "FFMA": _WarpRunner._op_ffma, "FFMA32I": _WarpRunner._op_ffma,
-    "MUFU": _WarpRunner._op_mufu, "FCHK": _WarpRunner._op_fchk,
-    "DADD": _WarpRunner._op_dadd, "DMUL": _WarpRunner._op_dmul,
-    "DFMA": _WarpRunner._op_dfma,
-    "HADD2": _WarpRunner._op_hadd2, "HMUL2": _WarpRunner._op_hmul2,
-    "HFMA2": _WarpRunner._op_hfma2,
-    "FSEL": _WarpRunner._op_fsel, "FMNMX": _WarpRunner._op_fmnmx,
-    "FSET": _WarpRunner._op_fset, "FSETP": _WarpRunner._op_fsetp,
-    "DSETP": _WarpRunner._op_dsetp,
-    "F2F": _WarpRunner._op_f2f, "I2F": _WarpRunner._op_i2f,
-    "F2I": _WarpRunner._op_f2i,
-    "MOV": _WarpRunner._op_mov, "MOV32I": _WarpRunner._op_mov,
-    "IADD3": _WarpRunner._op_iadd3, "IMAD": _WarpRunner._op_imad,
-    "ISETP": _WarpRunner._op_isetp, "LOP3": _WarpRunner._op_lop3,
-    "SHF": _WarpRunner._op_shf, "S2R": _WarpRunner._op_s2r,
-    "SEL": _WarpRunner._op_sel,
-    "LDG": _WarpRunner._op_ldg, "STG": _WarpRunner._op_stg,
-    "LDC": _WarpRunner._op_ldc, "LDS": _WarpRunner._op_lds,
-    "STS": _WarpRunner._op_sts,
-    "BRA": _WarpRunner._op_bra, "SSY": _WarpRunner._op_ssy,
-    "SYNC": _WarpRunner._op_sync, "BAR": _WarpRunner._op_bar,
-    "EXIT": _WarpRunner._op_exit, "NOP": _WarpRunner._op_nop,
-}
 
 
 class _CohortRunner:
@@ -1365,8 +572,7 @@ def execute_launch(launch: LaunchContext) -> LaunchStats:
     threads_per_block = launch.block_dim
     warps_per_block = (threads_per_block + WARP_SIZE - 1) // WARP_SIZE
     limit = WARP_INSTR_BUDGET * launch.grid_dim * warps_per_block
-    if (launch.warp_batch and launch.decoded is not None
-            and launch.grid_dim * warps_per_block > 1
+    if (launch.warp_batch and launch.grid_dim * warps_per_block > 1
             and launch.decoded.cohort_ready):
         return _execute_launch_batched(launch, warps_per_block, limit)
     for block in range(launch.grid_dim):

@@ -18,12 +18,12 @@ Design constraints, in order:
    ``(n_warps, NUM_REGS, 32)`` float64 plane driven by the same
    vectorised NumPy expressions as the primary ``(n_warps, 32)`` plane;
    one shadow step is a handful of array ops, not a per-lane loop.
-3. **No import cycles.**  This module imports only NumPy and the SASS
-   operand model.  The FP64 comparison helpers come from
-   :mod:`repro.conformance.oracle` via a lazy function-level import (the
-   conformance package imports the execution stack at module scope), and
-   event/report plumbing lives in :mod:`repro.fpx.shadow` which imports
-   *us*, never the reverse.
+3. **No import cycles.**  This module imports only NumPy, the SASS
+   operand model and the decoder's textual FP immediates.  The FP64
+   comparison helpers come from :mod:`repro.conformance.oracle` via a
+   lazy function-level import (the conformance package imports the
+   execution stack at module scope), and event/report plumbing lives in
+   :mod:`repro.fpx.shadow` which imports *us*, never the reverse.
 
 Shadow semantics (documented limits, see ``docs/SHADOW.md``):
 
@@ -49,6 +49,7 @@ from fractions import Fraction
 import numpy as np
 
 from ..sass.operands import NUM_REGS, RZ, OperandType
+from .decode import _GENERIC_FP
 from .warp import WARP_SIZE
 
 __all__ = [
@@ -61,14 +62,6 @@ __all__ = [
     "set_default_shadow",
     "shadow_slots",
 ]
-
-#: Textual FP immediates, mirrored from the executor's ``_GENERIC_FP``
-#: (kept local: importing the executor here would complete a cycle).
-_GENERIC_FP = {
-    "+INF": np.inf, "INF": np.inf, "-INF": -np.inf,
-    "+QNAN": np.nan, "-QNAN": np.nan, "QNAN": np.nan,
-    "+NAN": np.nan, "-NAN": np.nan,
-}
 
 
 # ---------------------------------------------------------------------------
@@ -609,15 +602,6 @@ class ShadowState:
         members = (self._warp_member(st.warp),)
         pending = self._pre(slot, view, st, mask)
         advanced = dop.execute(st, mask)
-        self._post(slot, view, st, mask, pending, members)
-        return advanced
-
-    def run_fn(self, slot, st, mask, execute):
-        """Legacy-path hook around one string-dispatched execute."""
-        view = self._warp_view(st.warp)
-        members = (self._warp_member(st.warp),)
-        pending = self._pre(slot, view, st, mask)
-        advanced = execute()
         self._post(slot, view, st, mask, pending, members)
         return advanced
 

@@ -42,6 +42,16 @@ WARP_SIZE = 32
 FULL_MASK = np.ones(WARP_SIZE, dtype=bool)
 FULL_MASK.flags.writeable = False
 
+#: Fault-injection flags for conformance testing (test-only; see
+#: :mod:`repro.conformance.mutation`).  The semantics shared by the
+#: engines consult this set to deliberately mis-execute — e.g.
+#: ``"cohort-drop-full-row-write"`` makes :class:`CohortView` skip its
+#: whole-row register stores, a bug only the stacked engines run — so
+#: the conformance engine can prove it catches the bug.  Empty in
+#: production, and consulted at most once per op (here: once per
+#: stacked launch, by :class:`WarpSet`).
+_MUTATIONS: set[str] = set()
+
 
 class FrameKind(str, enum.Enum):
     """The two divergence-stack token types.
@@ -84,7 +94,7 @@ class WarpSet:
     """
 
     __slots__ = ("n_warps", "regs", "preds", "members", "member_of",
-                 "_full")
+                 "row_stores", "_full")
 
     def __init__(self, n_warps: int, *, members: int = 1) -> None:
         self.n_warps = n_warps
@@ -98,6 +108,10 @@ class WarpSet:
         per = n_warps // members
         #: ``member_of[i]`` is the member-launch index of warp ``i``.
         self.member_of = np.repeat(np.arange(members, dtype=np.intp), per)
+        #: Whether cohort writes under the shared all-lanes mask store
+        #: their rows (False only under the
+        #: ``cohort-drop-full-row-write`` mutation).
+        self.row_stores = "cohort-drop-full-row-write" not in _MUTATIONS
         self._full: dict[int, np.ndarray] = {}
 
     def full_mask(self, n: int) -> np.ndarray:
@@ -259,7 +273,7 @@ class CohortView:
     """
 
     __slots__ = ("wset", "idx", "n", "sel", "full_mask", "_regs", "_preds",
-                 "_dense")
+                 "_dense", "_row_stores")
 
     def __init__(self, wset: WarpSet, idx: np.ndarray) -> None:
         self.wset = wset
@@ -268,6 +282,7 @@ class CohortView:
         self.full_mask = wset.full_mask(self.n)
         self._regs = wset.regs
         self._preds = wset.preds
+        self._row_stores = wset.row_stores
         lo, hi = int(idx[0]), int(idx[-1])
         self._dense = hi - lo + 1 == self.n
         #: Axis-0 selector of this cohort's planes: a basic slice when
@@ -286,7 +301,8 @@ class CohortView:
         if num == RZ:
             return
         if mask is self.full_mask:
-            self._regs[self.sel, num] = values
+            if self._row_stores:
+                self._regs[self.sel, num] = values
             return
         vals = np.broadcast_to(values, mask.shape)[mask].astype(
             np.uint32, copy=False)

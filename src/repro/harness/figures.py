@@ -1,7 +1,7 @@
 """Data generators for the paper's figures (4, 5 and 6).
 
-Each generator takes ``jobs``: ``1`` (default) is the legacy serial
-path, ``N > 1`` shards the per-program runs across worker processes via
+Each generator takes ``jobs``: ``1`` (default) runs in-process
+serially, ``N > 1`` shards the per-program runs across worker processes via
 :mod:`repro.harness.parallel` and reduces in program order, so renders
 are byte-identical across job counts.
 """
@@ -72,10 +72,9 @@ class Figure4Data:
 
 
 def figure4(programs: list[Program], *, cost: CostModel | None = None,
-            decode_cache: bool = True, warp_batch: bool = True,
+            warp_batch: bool = True,
             jobs: int | None = 1) -> Figure4Data:
     return Figure4Data(measure_slowdowns_many(programs, cost=cost,
-                                              decode_cache=decode_cache,
                                               warp_batch=warp_batch,
                                               jobs=jobs))
 
@@ -134,27 +133,25 @@ class Figure5Data:
 
 
 def figure5(programs: list[Program], *, cost: CostModel | None = None,
-            decode_cache: bool = True, warp_batch: bool = True,
+            warp_batch: bool = True,
             jobs: int | None = 1) -> Figure5Data:
     return Figure5Data(measure_slowdowns_many(programs, cost=cost,
-                                              decode_cache=decode_cache,
                                               warp_batch=warp_batch,
                                               jobs=jobs))
 
 
-def _figure6_base_unit(program: Program, options, cost,
-                       decode_cache: bool, warp_batch: bool):
+def _figure6_base_unit(program: Program, options, cost, warp_batch: bool):
     """Module-level (picklable) baseline cell of the Figure 6 grid."""
     from .runner import run_baseline
     return run_baseline(program, options=options, cost=cost,
-                        decode_cache=decode_cache, warp_batch=warp_batch)
+                        warp_batch=warp_batch)
 
 
 def _figure6_cell_unit(program: Program, k: int, options, cost,
-                       decode_cache: bool, warp_batch: bool):
+                       warp_batch: bool):
     """Module-level (picklable) detector cell of the Figure 6 grid."""
     return run_detector(program, options=options, cost=cost,
-                        decode_cache=decode_cache, warp_batch=warp_batch,
+                        warp_batch=warp_batch,
                         config=DetectorConfig(freq_redn_factor=k))
 
 
@@ -181,7 +178,6 @@ def figure6(programs: list[Program], *,
             factors: tuple[int, ...] = (0, 4, 16, 64, 256),
             options: CompileOptions | None = None,
             cost: CostModel | None = None,
-            decode_cache: bool = True,
             warp_batch: bool = True,
             jobs: int | None = 1) -> Figure6Data:
     """Sweep the undersampling factor over a program set.
@@ -197,10 +193,10 @@ def figure6(programs: list[Program], *,
     from .parallel import SweepUnit, run_sweep
 
     units = [SweepUnit(f"figure6/base/{p.name}", functools.partial(
-        _figure6_base_unit, p, options, cost, decode_cache, warp_batch))
+        _figure6_base_unit, p, options, cost, warp_batch))
         for p in programs]
     units += [SweepUnit(f"figure6/k{k}/{p.name}", functools.partial(
-        _figure6_cell_unit, p, k, options, cost, decode_cache, warp_batch))
+        _figure6_cell_unit, p, k, options, cost, warp_batch))
         for k in factors for p in programs]
     values = run_sweep(units, jobs=jobs).values_strict()
     baselines = dict(zip((p.name for p in programs), values))

@@ -8,8 +8,8 @@ binary-instrumentation tool costs on it.
 
 Also hosts the **per-pc hotspot profiler**: :func:`profile_pcs`
 installs a :class:`ProfileTable` as the executor's module-level sink,
-so every execution path (legacy interpreter, decoded fast path, warp
-cohorts) accumulates modeled cycles and dynamic counts per ⟨kernel, pc,
+so every execution path (serial decoded loop, warp cohorts, megabatch)
+accumulates modeled cycles and dynamic counts per ⟨kernel, pc,
 opcode⟩ — plus statistically-sampled wall time — at one guarded global
 load per instruction when off.  ``repro profile hotspots`` renders the
 table; :mod:`repro.telemetry.flame` exports it as collapsed stacks.

@@ -122,21 +122,18 @@ def _built_for(program: Program, built: BuiltProgram | None,
     return built
 
 
-def _execute(built: BuiltProgram, tool, decode_cache: bool,
-             warp_batch: bool = True,
+def _execute(built: BuiltProgram, tool, warp_batch: bool = True,
              shadow=None) -> tuple[RunStats, Session]:
     """Run ``built``'s schedule from its fresh state under ``tool`` (one
     tool, ``None``, or a list of observers)."""
     built.fresh()
-    session = Session(tool, device=built.device,
-                      decode_cache=decode_cache, warp_batch=warp_batch,
+    session = Session(tool, device=built.device, warp_batch=warp_batch,
                       shadow=shadow)
     return session.run_schedule(built.schedule), session
 
 
 def run_baseline(program: Program, *, options: CompileOptions | None = None,
                  cost: CostModel | None = None,
-                 decode_cache: bool = True,
                  warp_batch: bool = True,
                  shadow=None,
                  built: BuiltProgram | None = None) -> RunStats:
@@ -144,7 +141,7 @@ def run_baseline(program: Program, *, options: CompileOptions | None = None,
     with get_telemetry().span(SPAN_RUN_BASELINE, program=program.name,
                               suite=program.suite) as sp:
         built = _built_for(program, built, options, cost)
-        stats, _ = _execute(built, None, decode_cache, warp_batch, shadow)
+        stats, _ = _execute(built, None, warp_batch, shadow)
         sp.set(launches=stats.launches, cycles=stats.total_cycles)
     return stats
 
@@ -152,7 +149,6 @@ def run_baseline(program: Program, *, options: CompileOptions | None = None,
 def run_detector(program: Program, *, options: CompileOptions | None = None,
                  config: DetectorConfig | None = None,
                  cost: CostModel | None = None,
-                 decode_cache: bool = True,
                  warp_batch: bool = True,
                  shadow=None,
                  built: BuiltProgram | None = None
@@ -162,8 +158,7 @@ def run_detector(program: Program, *, options: CompileOptions | None = None,
                               suite=program.suite) as sp:
         built = _built_for(program, built, options, cost)
         detector = FPXDetector(config)
-        stats, session = _execute(built, detector, decode_cache, warp_batch,
-                                  shadow)
+        stats, session = _execute(built, detector, warp_batch, shadow)
         report = session.report()
         sp.set(launches=stats.launches, records=report.total(),
                channel_messages=stats.channel_messages,
@@ -173,7 +168,6 @@ def run_detector(program: Program, *, options: CompileOptions | None = None,
 
 def run_binfpe(program: Program, *, options: CompileOptions | None = None,
                cost: CostModel | None = None,
-               decode_cache: bool = True,
                warp_batch: bool = True,
                shadow=None,
                built: BuiltProgram | None = None
@@ -183,8 +177,7 @@ def run_binfpe(program: Program, *, options: CompileOptions | None = None,
                               suite=program.suite) as sp:
         built = _built_for(program, built, options, cost)
         tool = BinFPE()
-        stats, session = _execute(built, tool, decode_cache, warp_batch,
-                                  shadow)
+        stats, session = _execute(built, tool, warp_batch, shadow)
         report = session.report()
         sp.set(launches=stats.launches, records=report.total(),
                channel_messages=stats.channel_messages,
@@ -195,7 +188,6 @@ def run_binfpe(program: Program, *, options: CompileOptions | None = None,
 def run_analyzer(program: Program, *, options: CompileOptions | None = None,
                  config: AnalyzerConfig | None = None,
                  cost: CostModel | None = None,
-                 decode_cache: bool = True,
                  warp_batch: bool = True,
                  shadow=None,
                  built: BuiltProgram | None = None
@@ -205,8 +197,7 @@ def run_analyzer(program: Program, *, options: CompileOptions | None = None,
                               suite=program.suite) as sp:
         built = _built_for(program, built, options, cost)
         analyzer = FPXAnalyzer(config)
-        stats, _ = _execute(built, analyzer, decode_cache, warp_batch,
-                            shadow)
+        stats, _ = _execute(built, analyzer, warp_batch, shadow)
         sp.set(launches=stats.launches, flow_events=len(analyzer.events),
                cycles=stats.total_cycles)
     return analyzer, stats
@@ -243,7 +234,6 @@ def stats_json(stats: RunStats, base: RunStats) -> dict:
 def run_workload(program: Program, tool: str = "detector", *,
                  options: CompileOptions | None = None,
                  detector_config: DetectorConfig | None = None,
-                 decode_cache: bool = True,
                  warp_batch: bool = True,
                  shadow=None) -> tuple:
     """Run ``program`` under ``tool`` (``"detector"``, ``"binfpe"`` or
@@ -269,8 +259,7 @@ def run_workload(program: Program, tool: str = "detector", *,
     built = _built_for(program, None, options, None)
     with get_telemetry().span(span, program=program.name,
                               suite=program.suite) as sp:
-        _, session = _execute(built, [None, instance], decode_cache,
-                              warp_batch, shadow)
+        _, session = _execute(built, [None, instance], warp_batch, shadow)
         base, stats = session.observer_stats(0), session.observer_stats(1)
         if tool == "analyzer":
             report, analyzer = None, instance
@@ -288,7 +277,6 @@ def run_workload(program: Program, tool: str = "detector", *,
 def run_workload_json(program_name: str, tool: str = "detector", *,
                       fast_math: bool = False,
                       detector_config: DetectorConfig | None = None,
-                      decode_cache: bool = True,
                       warp_batch: bool = True,
                       shadow=None) -> dict:
     """Run one registry workload and return the canonical JSON document.
@@ -306,7 +294,7 @@ def run_workload_json(program_name: str, tool: str = "detector", *,
         else CompileOptions.precise()
     base, stats, report, analyzer = run_workload(
         program, tool, options=options, detector_config=detector_config,
-        decode_cache=decode_cache, warp_batch=warp_batch, shadow=shadow)
+        warp_batch=warp_batch, shadow=shadow)
     payload: dict = {"program": program.name, "suite": program.suite,
                      "tool": tool, "fast_math": fast_math}
     if analyzer is not None:
@@ -355,7 +343,6 @@ class ProgramSlowdowns:
 def measure_slowdowns(program: Program, *,
                       options: CompileOptions | None = None,
                       cost: CostModel | None = None,
-                      decode_cache: bool = True,
                       warp_batch: bool = True,
                       built: BuiltProgram | None = None) -> ProgramSlowdowns:
     """The Figure 4/5 measurement: base, BinFPE, FPX w/o GT, FPX w/ GT.
@@ -367,7 +354,7 @@ def measure_slowdowns(program: Program, *,
     built = _built_for(program, built, options, cost)
     _, session = _execute(built, [
         None, BinFPE(), FPXDetector(DetectorConfig(use_gt=False)),
-        FPXDetector(DetectorConfig(use_gt=True))], decode_cache, warp_batch)
+        FPXDetector(DetectorConfig(use_gt=True))], warp_batch)
     result = ProgramSlowdowns(program.name, program.suite,
                               *(session.observer_stats(i) for i in range(4)))
     # Figure-4 distributions, accumulated across whatever program set
@@ -383,7 +370,6 @@ def measure_slowdowns(program: Program, *,
 def measure_slowdowns_many(programs: list[Program], *,
                            options: CompileOptions | None = None,
                            cost: CostModel | None = None,
-                           decode_cache: bool = True,
                            warp_batch: bool = True,
                            jobs: int | None = 1,
                            timeout: float | None = None,
@@ -407,15 +393,14 @@ def measure_slowdowns_many(programs: list[Program], *,
 
     units = [SweepUnit(f"slowdowns/{p.name}",
                        functools.partial(_slowdowns_unit, p, options, cost,
-                                         decode_cache, warp_batch))
+                                         warp_batch))
              for p in programs]
     result = run_sweep(units, jobs=jobs, timeout=timeout, retries=retries)
     return result.values_strict() if strict else result.values()
 
 
-def _slowdowns_unit(program: Program, options, cost, decode_cache: bool,
+def _slowdowns_unit(program: Program, options, cost,
                     warp_batch: bool) -> ProgramSlowdowns:
     """Module-level (picklable) sweep unit for one program's slowdowns."""
     return measure_slowdowns(program, options=options, cost=cost,
-                             decode_cache=decode_cache,
                              warp_batch=warp_batch)

@@ -79,11 +79,9 @@ class TableResult:
         return "\n".join(lines)
 
 
-def _detector_unit(program: Program, options, config, decode_cache: bool,
-                   warp_batch: bool):
+def _detector_unit(program: Program, options, config, warp_batch: bool):
     """Module-level (picklable) sweep unit for one table row."""
     return run_detector(program, options=options, config=config,
-                        decode_cache=decode_cache,
                         warp_batch=warp_batch)[0]
 
 
@@ -91,7 +89,6 @@ def _counting_table(title: str, programs: list[Program],
                     expected: dict[str, dict[str, int]], *,
                     options: CompileOptions | None = None,
                     config: DetectorConfig | None = None,
-                    decode_cache: bool = True,
                     warp_batch: bool = True,
                     jobs: int | None = 1) -> TableResult:
     import functools
@@ -100,7 +97,7 @@ def _counting_table(title: str, programs: list[Program],
 
     units = [SweepUnit(f"table/{p.name}",
                        functools.partial(_detector_unit, p, options, config,
-                                         decode_cache, warp_batch))
+                                         warp_batch))
              for p in programs]
     reports = run_sweep(units, jobs=jobs).values_strict()
     result = TableResult(title)
@@ -112,36 +109,35 @@ def _counting_table(title: str, programs: list[Program],
     return result
 
 
-def table4(programs: list[Program], *, decode_cache: bool = True,
-           warp_batch: bool = True, jobs: int | None = 1) -> TableResult:
+def table4(programs: list[Program], *, warp_batch: bool = True,
+           jobs: int | None = 1) -> TableResult:
     """Table 4: exceptions detected on the shipped inputs."""
     with_exceptions = [p for p in programs if p.expected]
     return _counting_table(
         "Table 4 — exceptions detected by GPU-FPX (precise build)",
-        with_exceptions, TABLE4, decode_cache=decode_cache,
-        warp_batch=warp_batch, jobs=jobs)
+        with_exceptions, TABLE4, warp_batch=warp_batch, jobs=jobs)
 
 
-def table5(programs: list[Program], *, decode_cache: bool = True,
-           warp_batch: bool = True, jobs: int | None = 1) -> TableResult:
+def table5(programs: list[Program], *, warp_batch: bool = True,
+           jobs: int | None = 1) -> TableResult:
     """Table 5: detection decrease at FREQ-REDN-FACTOR = 64."""
     targets = [p for p in programs if p.name in TABLE5_K64]
     return _counting_table(
         "Table 5 — detection at FREQ-REDN-FACTOR 64",
         targets, TABLE5_K64,
         config=DetectorConfig(freq_redn_factor=64),
-        decode_cache=decode_cache, warp_batch=warp_batch, jobs=jobs)
+        warp_batch=warp_batch, jobs=jobs)
 
 
-def table6(programs: list[Program], *, decode_cache: bool = True,
-           warp_batch: bool = True, jobs: int | None = 1) -> TableResult:
+def table6(programs: list[Program], *, warp_batch: bool = True,
+           jobs: int | None = 1) -> TableResult:
     """Table 6: the --use_fast_math study (the checkmark rows)."""
     targets = [p for p in programs if p.name in TABLE6_FASTMATH]
     return _counting_table(
         "Table 6 — exceptions with --use_fast_math",
         targets, TABLE6_FASTMATH,
         options=CompileOptions.fast_math(),
-        decode_cache=decode_cache, warp_batch=warp_batch, jobs=jobs)
+        warp_batch=warp_batch, jobs=jobs)
 
 
 @dataclass

@@ -65,14 +65,6 @@ class InstrumentationPlan:
     entries: tuple[PlannedInjection, ...] = ()
     _fingerprint: str | None = field(default=None, repr=False, compare=False)
 
-    @classmethod
-    def from_hooks(cls, tool: str, kernel: str,
-                   hooks: list[tuple[int, Injection]]) -> "InstrumentationPlan":
-        """Wrap a legacy ``instrument_kernel`` hook list into a plan."""
-        return cls(tool, kernel, tuple(
-            PlannedInjection(pc, inj.when, inj.fn, inj.args)
-            for pc, inj in hooks))
-
     @property
     def fingerprint(self) -> str:
         """Stable digest of (tool, kernel, every planned injection)."""
@@ -86,8 +78,8 @@ class InstrumentationPlan:
         return self._fingerprint
 
     def to_hooks(self, observer: int = 0) -> list[tuple[int, Injection]]:
-        """Render as the legacy ``(pc, Injection)`` hook list, each call
-        tagged with ``observer``."""
+        """Render as the NVBit-style read-only ``(pc, Injection)`` hook
+        list, each call tagged with ``observer``."""
         return [(e.pc, e.to_injection(observer)) for e in self.entries]
 
     def __len__(self) -> int:

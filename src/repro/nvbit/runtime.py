@@ -247,14 +247,13 @@ class ToolRuntime:
 
     Direct construction is an error — go through
     :class:`repro.api.Session`, which owns the runtime and forwards
-    ``decode_cache``/``warp_batch``/``megabatch``.  (White-box callers
+    ``warp_batch``/``megabatch``.  (White-box callers
     inside this package pass ``_via_session=True``.)
     """
 
     def __init__(self, device: Device,
                  tool: "NVBitTool | None | list" = None, *,
-                 decode_cache: bool = True, warp_batch: bool = True,
-                 megabatch: bool = True,
+                 warp_batch: bool = True, megabatch: bool = True,
                  shadow=None, shadow_trackers=None,
                  _via_session: bool = False) -> None:
         if not _via_session:
@@ -271,10 +270,6 @@ class ToolRuntime:
             else [None] * len(tools)
         self.observers = [Observer(i, t, RunStats(cost=device.cost), tr)
                           for i, (t, tr) in enumerate(zip(tools, trackers))]
-        #: ``decode_cache=False`` is the ``--no-decode-cache`` escape
-        #: hatch: run the legacy dict-dispatch interpreter with per-pc
-        #: hook dicts instead of decoded micro-op programs.
-        self.decode_cache = decode_cache
         #: ``warp_batch=False`` is the ``--no-warp-batch`` escape hatch:
         #: force the serial per-warp engine even on cohort-ready,
         #: multi-warp launches.
@@ -344,20 +339,14 @@ class ToolRuntime:
                  for obs, on in zip(self.observers, instrumenting) if on]
         ledgers = [Ledger(LaunchStats(), obs.channel) if on else None
                    for obs, on in zip(self.observers, instrumenting)]
-        if self.decode_cache:
-            decoded = self._decoded_for(spec.code, plans)
-            hooks = None
-        else:
-            decoded = None
-            hooks = [hook for i, plan in plans
-                     for hook in plan.to_hooks(i)] if plans else None
+        decoded = self._decoded_for(spec.code, plans)
         shadow_state = None
         if self.shadow is not None:
             shadow_state = ShadowState(self.shadow, spec.code)
         with tel.span(SPAN_NVBIT_EXECUTE, kernel=spec.code.name,
                       instrumented=bool(plans)) as sp:
             stats = self.device._launch_kernel(spec.code, spec.config,
-                                               list(spec.params), hooks=hooks,
+                                               list(spec.params),
                                                decoded=decoded,
                                                warp_batch=self.warp_batch,
                                                shadow=shadow_state,
@@ -526,7 +515,7 @@ class ToolRuntime:
     def _batch_ineligibility(self, specs: "list[LaunchSpec]") -> str | None:
         """The reason this batch cannot take the megabatch engine, or
         ``None`` when it can."""
-        if not (self.megabatch and self.decode_cache and self.warp_batch):
+        if not (self.megabatch and self.warp_batch):
             return "megabatch-disabled"
         if any(s.repeat != 1 or s.stateful or s.work_scale != 1
                for s in specs):

@@ -11,7 +11,7 @@ or an ad-hoc ``kernel`` (SASS text plus staged inputs/outputs)::
      "outputs": [{"fmt": "f32", "count": 32}],
      "tool": "detector",
      "config": {"use_gt": true},
-     "options": {"decode_cache": true}}
+     "options": {"warp_batch": true}}
 
 :func:`parse_request` validates everything up front —
 :class:`BadRequest` maps to HTTP 400 — and normalises the body into a
@@ -41,7 +41,7 @@ CONFIG_KEYS = ("use_gt", "on_device_check", "freq_redn_factor",
 #: Engine knobs a submission's ``options`` object may set.  All are
 #: booleans except ``shadow``, which also accepts a non-negative
 #: integer ULP threshold.
-OPTION_KEYS = ("decode_cache", "warp_batch", "megabatch", "shadow")
+OPTION_KEYS = ("warp_batch", "megabatch", "shadow")
 
 
 class BadRequest(ValueError):

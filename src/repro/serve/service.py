@@ -343,7 +343,7 @@ class JobService:
 
 def _knobs(req: JobRequest) -> dict:
     knobs = {name: req.option(name) for name
-             in ("decode_cache", "warp_batch", "megabatch")}
+             in ("warp_batch", "megabatch")}
     # Default False (not None): the per-job knob is the only way to turn
     # the shadow plane on in a service — a process-wide default must
     # never leak across concurrent clients' jobs.
@@ -407,7 +407,6 @@ def _run_workload(req: JobRequest):
     payload = run_workload_json(
         req.workload, req.tool, fast_math=req.fast_math,
         detector_config=DetectorConfig(**config) if config else None,
-        decode_cache=req.option("decode_cache"),
         warp_batch=req.option("warp_batch"),
         shadow=req.option("shadow", False))
     events = payload.pop("events", None)

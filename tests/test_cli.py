@@ -2,7 +2,7 @@
 
 Includes the exit-code contract (0 success, 1 tool/run error, 2 usage
 error) and the shared option group every subcommand must accept:
-``--jobs --trace --events --metrics --no-decode-cache --no-warp-batch``.
+``--jobs --trace --events --metrics --no-warp-batch``.
 """
 
 import pytest
@@ -103,7 +103,7 @@ _SUBCOMMANDS = {
 }
 
 _SHARED = ["--jobs", "2", "--trace", "t.json", "--events", "e.jsonl",
-           "--metrics", "--no-decode-cache", "--no-warp-batch"]
+           "--metrics", "--no-warp-batch"]
 
 
 class TestSharedFlagGroup:
@@ -117,7 +117,6 @@ class TestSharedFlagGroup:
         assert args.trace == "t.json"
         assert args.events == "e.jsonl"
         assert args.metrics is True
-        assert args.no_decode_cache is True
         assert args.no_warp_batch is True
 
     def test_no_warp_batch_run_is_identical(self, capsys):
@@ -145,6 +144,13 @@ class TestExitCodes:
 
     def test_unknown_program_is_two(self):
         assert main(["run", "not-a-program"]) == 2
+
+    def test_removed_interpreter_flag_is_two(self, capsys):
+        # the per-instruction interpreter it selected is gone
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "GRAMSCHM", "--no-decode-cache"])
+        assert exc.value.code == 2
+        assert "--no-decode-cache" in capsys.readouterr().err
 
     def test_bad_artifact_number_is_two(self):
         assert main(["figure", "9"]) == 2

@@ -3,12 +3,13 @@
 Four concerns:
 
 * the pure-Python IEEE-754 oracle agrees bit-for-bit with the
-  executor's NumPy helpers on exception-adjacent batteries;
+  decoder's NumPy helpers on exception-adjacent batteries;
 * generation is deterministic and the generated programs genuinely
   exercise the warp-cohort engine (two warps, straight-line bodies);
-* the differential engine passes on clean builds, catches a
-  deliberately injected single-path handler bug, and shrinks it to a
-  tiny reproducer;
+* the differential engine passes on clean builds, catches every
+  deliberately injected bug (a dropped FTZ flush that every path shares
+  through the oracle, a stacked-engine-only bug path against path), and
+  shrinks one to a tiny reproducer;
 * the checked-in regression corpus (``tests/corpus/*.json``) replays
   clean — this is the tier-1 wiring the fuzzer appends to.
 """
@@ -33,8 +34,8 @@ from repro.conformance import (
     run_case,
     shrink_case,
 )
-from repro.conformance import oracle
-from repro.gpu import executor
+from repro.conformance import KNOWN_MUTATIONS, oracle
+from repro.gpu import decode, warp
 from repro.gpu.sfu import mufu_f32, mufu_rcp64h
 from repro.harness.pool import pool_available
 from repro.sass.program import KernelCode
@@ -117,8 +118,8 @@ class TestOracle:
             for bb in picks:
                 for cb in (0x3F800000, 0x80000001, 0xFF800000):
                     a, b, c = (np.float32(_f32(v)) for v in (ab, bb, cb))
-                    want = executor._ffma32(np.array([a]), np.array([b]),
-                                            np.array([c]))[0]
+                    want = decode._ffma32(np.array([a]), np.array([b]),
+                                          np.array([c]))[0]
                     got = oracle.ffma32(float(a), float(b), float(c))
                     assert _same32(got, want), (hex(ab), hex(bb), hex(cb))
 
@@ -128,8 +129,8 @@ class TestOracle:
             for bb in (F64_BATTERY[2], F64_BATTERY[6], F64_BATTERY[11]):
                 for cb in (F64_BATTERY[8], F64_BATTERY[0]):
                     a, b, c = _f64(ab), _f64(bb), _f64(cb)
-                    want = executor._fma64(np.array([a]), np.array([b]),
-                                           np.array([c]))[0]
+                    want = decode._fma64(np.array([a]), np.array([b]),
+                                         np.array([c]))[0]
                     got = oracle.dfma64(float(a), float(b), float(c))
                     assert _same64(got, want), (hex(ab), hex(bb), hex(cb))
 
@@ -240,9 +241,9 @@ class TestCorpus:
 
 def _ftz_divergence_case(filler_ops: int = 0) -> Case:
     """An FMUL.FTZ whose product is subnormal (2^-65 · 2^-65 = 2^-130):
-    the mutated legacy path keeps the subnormal, the decoded paths flush
-    it.  ``filler_ops`` benign independent ops pad the body for shrink
-    tests."""
+    the mutated closure keeps the subnormal on every path, the oracle
+    flushes it.  ``filler_ops`` benign independent ops pad the body for
+    shrink tests."""
     n = 64
     inputs = [InputVec(8, "f32", (0x1F000000,) * n),
               InputVec(10, "f32", (0x1F000000,) * n)]
@@ -282,24 +283,46 @@ class TestDifferential:
         assert names.CTR_CONFORMANCE_DIVERGED not in snap["counters"]
 
     def test_injected_bug_is_caught(self):
+        """A dropped FTZ flush moves every path alike (they share the
+        decoded closures): only the oracle catches it."""
         case = _ftz_divergence_case()
         assert run_case(case).ok  # clean build: all paths agree
         with telemetry_session() as tel:
-            with mutation("legacy-fp32-drop-ftz-flush"):
+            with mutation("fp32-drop-ftz-flush"):
                 outcome = run_case(case)
             events = tel.events_named(names.EVT_CONFORMANCE_DIVERGENCE)
             snap = metrics_snapshot(tel)
         assert not outcome.ok
-        joined = "\n".join(outcome.divergences)
-        assert "decoded vs legacy" in joined     # paths disagree
-        assert "oracle vs legacy" in joined      # and the oracle says so
+        assert all(d.startswith("oracle vs decoded")
+                   for d in outcome.divergences), outcome.divergences
         assert snap["counters"][names.CTR_CONFORMANCE_DIVERGED] == 1
         assert events and events[0]["case"] == case.name
+
+    def test_every_known_mutation_is_killed(self):
+        """Tier-1's kill score: each operator fails a case that runs
+        clean, through exactly the comparisons named for it.  Op 0's
+        FTZ product is subnormal and op 1 (a filler FADD) writes a
+        nonzero result.  A dropped flush moves every path alike, so only
+        the oracle sees it; a stacked-engine bug leaves the reference
+        path clean, so only path-vs-path sees it."""
+        killers = {
+            "fp32-drop-ftz-flush": {"oracle vs decoded"},
+            "cohort-drop-full-row-write": {"cohort vs decoded",
+                                           "megabatch vs decoded"},
+        }
+        assert killers.keys() == KNOWN_MUTATIONS
+        case = _ftz_divergence_case(filler_ops=1)
+        assert run_case(case).ok
+        for flag, comparisons in killers.items():
+            with mutation(flag):
+                outcome = run_case(case)
+            assert {d.split(":")[0] for d in outcome.divergences} \
+                == comparisons, (flag, outcome.divergences)
 
     def test_injected_bug_shrinks_to_tiny_reproducer(self):
         case = _ftz_divergence_case(filler_ops=6)
         assert len(case.ops) == 7
-        with mutation("legacy-fp32-drop-ftz-flush"):
+        with mutation("fp32-drop-ftz-flush"):
             shrunk = shrink_case(case)
             assert not run_case(shrunk).ok
         # the acceptance bar is <= 5 body instructions; greedy removal
@@ -310,21 +333,21 @@ class TestDifferential:
 
     def test_mutated_fuzz_finds_divergences(self):
         result = fuzz(64, seed=11, jobs=1,
-                      mutations=("legacy-fp32-drop-ftz-flush",))
+                      mutations=("fp32-drop-ftz-flush",))
         assert not result.ok
-        assert all("legacy" in d for f in result.failures
-                   for d in f["divergences"][:1])
+        assert all(d.startswith("oracle vs decoded") for f in result.failures
+                   for d in f["divergences"])
 
     def test_shrink_requires_divergence(self):
         with pytest.raises(ValueError, match="does not diverge"):
             shrink_case(_ftz_divergence_case())
 
     def test_mutation_flags_restored(self):
-        assert not executor._MUTATIONS
+        assert not warp._MUTATIONS
         with pytest.raises(RuntimeError):
-            with mutation("legacy-fp32-drop-ftz-flush"):
+            with mutation("fp32-drop-ftz-flush"):
                 raise RuntimeError("boom")
-        assert not executor._MUTATIONS
+        assert not warp._MUTATIONS
 
     def test_unknown_mutation_rejected(self):
         with pytest.raises(ValueError, match="unknown mutation"):

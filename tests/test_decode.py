@@ -1,6 +1,8 @@
 """Unit tests for the decode pipeline: caches, plans, fingerprints,
 integer semantics and fused-plan op sharing."""
 
+import json
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -36,6 +38,9 @@ HALF_KERNEL = """
     HADD2 R2, R1, R1 ;
     EXIT ;
 """
+
+
+GOLDEN = Path(__file__).parent / "golden" / "engine_reference.json"
 
 
 def _code(name="k"):
@@ -120,16 +125,6 @@ class TestDecodeCache:
         assert snap[CTR_DECODE_CACHE_MISS] == 1
         assert snap[CTR_DECODE_CACHE_HIT] == 1
 
-    def test_legacy_path_never_decodes(self):
-        spec = LaunchSpec(_code(), LaunchConfig(1, 32), repeat=3)
-        with telemetry_session() as tel:
-            runtime = make_runtime(Device(), SassTracer(),
-                                  decode_cache=False)
-            runtime.run_program([spec])
-            snap = metrics_snapshot(tel)["counters"]
-        assert CTR_DECODE_CACHE_MISS not in snap
-        assert CTR_DECODE_CACHE_HIT not in snap
-
 
 class TestPlanFingerprints:
     def test_stable_across_tool_instances(self):
@@ -159,13 +154,23 @@ class TestPlanFingerprints:
 
 class TestFusedInjectionsFire:
     def test_tracer_sees_identical_stream_on_both_paths(self):
-        def trace(decode_cache):
-            tracer = SassTracer(capture_values=True)
-            runtime = make_runtime(Device(), tracer,
-                                  decode_cache=decode_cache)
-            runtime.run_program([LaunchSpec(_code(), LaunchConfig(2, 64))])
-            return tracer.entries
-        assert trace(True) == trace(False)
+        """The tracer's fused probes see the stream frozen in the engine
+        reference golden, through the runtime and through a bare device
+        launch of the fused program (which replays its own emissions)."""
+        want = json.loads(GOLDEN.read_text())["tracer"]
+        config = LaunchConfig(2, 64)
+
+        tracer = SassTracer(capture_values=True)
+        make_runtime(Device(), tracer).run_program(
+            [LaunchSpec(_code(), config)])
+        assert tracer.dump().splitlines() == want
+
+        tracer = SassTracer(capture_values=True)
+        code = _code()
+        fused = fuse_plan(decode_program(code),
+                          [(0, tracer.plan_kernel(code))])
+        Device()._launch_kernel(code, config, decoded=fused)
+        assert tracer.dump().splitlines() == want
 
 
 class TestFrameKind:
@@ -186,21 +191,22 @@ class TestUnknownOpcodeContext:
         EXIT ;
     """
 
-    def _run(self, decoded):
+    def _run(self, predecoded):
         device = Device()
         code = KernelCode.assemble("void my_kernel(float*)", self.BAD)
-        if decoded:
+        if predecoded:
             return device._launch_kernel(code, LaunchConfig(1, 32),
-                                     decoded=decode_program(code))
+                                         decoded=decode_program(code))
         return device._launch_kernel(code, LaunchConfig(1, 32))
 
-    @pytest.mark.parametrize("decoded", [False, True])
-    def test_error_names_kernel_pc_and_sass(self, decoded, monkeypatch):
-        from repro.gpu import decode, executor
-        monkeypatch.delitem(executor._DISPATCH, "LOP3")
+    @pytest.mark.parametrize("predecoded", [False, True])
+    def test_error_names_kernel_pc_and_sass(self, predecoded, monkeypatch):
+        """Both ways into a launch decode first (the caller, or the
+        device for a launch given no program) and name the bad op."""
+        from repro.gpu import decode
         monkeypatch.delitem(decode._DECODERS, "LOP3")
         with pytest.raises(ExecutionError) as exc:
-            self._run(decoded)
+            self._run(predecoded)
         msg = str(exc.value)
         assert "void my_kernel(float*)" in msg
         assert "no semantics for opcode LOP3" in msg

@@ -355,7 +355,7 @@ class TestFP32Screen:
     """
 
     @pytest.mark.parametrize("path, block", [
-        ("legacy", 32), ("decoded", 32), ("cohort", 64)])
+        ("decoded", 32), ("cohort", 64)])
     def test_one_screen_per_register_and_phase(self, path, block):
         from repro.api import EXECUTION_PATHS, Session
         from repro.nvbit import (InstrumentationPlan, NVBitTool,

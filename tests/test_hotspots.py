@@ -205,7 +205,7 @@ class TestCLI:
 
 class TestPathEquivalence:
     """The profiler must charge identical cycles/counts on every
-    execution path (decoded, batched, legacy serial fallback)."""
+    execution path (serial decoded, warp-cohort batched)."""
 
     def _profile(self, **knobs):
         with profile_pcs() as table:

@@ -1,9 +1,9 @@
-"""Cross-module invariants: the ISA table, executor, and tools agree."""
+"""Cross-module invariants: the ISA table, decoder, and tools agree."""
 
 import pytest
 
 from repro.fpx.detector import select_check
-from repro.gpu.executor import _DISPATCH
+from repro.gpu.decode import _DECODERS
 from repro.sass.isa import (
     BINFPE_SUPPORTED_OPCODES,
     CONTROL_FLOW_FP_OPCODES,
@@ -17,12 +17,12 @@ from repro.sass.operands import pred, reg
 
 class TestISAExecutorConsistency:
     def test_every_opcode_has_semantics(self):
-        """No opcode in the ISA table lacks an executor handler."""
-        missing = set(OPCODES) - set(_DISPATCH)
+        """No opcode in the ISA table lacks a decoder."""
+        missing = set(OPCODES) - set(_DECODERS)
         assert not missing, f"opcodes without semantics: {missing}"
 
     def test_no_phantom_handlers(self):
-        phantom = set(_DISPATCH) - set(OPCODES)
+        phantom = set(_DECODERS) - set(OPCODES)
         assert not phantom, f"handlers for unknown opcodes: {phantom}"
 
 

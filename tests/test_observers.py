@@ -121,8 +121,7 @@ def test_analyzer_observer_forces_serial_engine(name):
 @pytest.mark.parametrize("order", [FIG45, FIG45[::-1]],
                          ids=["baseline-first", "baseline-last"])
 @pytest.mark.parametrize("path", [
-    {"warp_batch": True}, {"warp_batch": False},
-    {"decode_cache": False, "warp_batch": False}])
+    {"warp_batch": True}, {"warp_batch": False}])
 def test_every_engine_routes_observers(path, order):
     device, schedule = _built_factory(program_by_name("GRAMSCHM"), None)
     _assert_fused_equals_solo(device, schedule, order, str(path), **path)

@@ -188,6 +188,8 @@ class TestMalformed:
          "unknown option"),
         ({"workload": "myocyte", "tool": "analyzer",
           "config": {"use_gt": False}}, "detector tool only"),
+        ({"workload": "myocyte", "options": {"decode_cache": True}},
+         "unknown option 'decode_cache'"),
     ])
     def test_bad_submission_rejected(self, body, match):
         with pytest.raises(BadRequest, match=match):

@@ -3,7 +3,7 @@
 The batched executor (``warp_batch=True``, the default) schedules all
 warps of a launch by program counter and executes every cohort of warps
 sharing a pc as one stacked NumPy operation; ``--no-warp-batch``
-(``warp_batch=False``) is the legacy one-warp-at-a-time engine.  The
+(``warp_batch=False``) is the serial one-warp-at-a-time decoded loop.  The
 batch engine is a pure performance refactor: these tests hold the two
 paths to *bit-identical* observable behaviour — exception reports,
 accounting, channel record streams (including order), and raw
