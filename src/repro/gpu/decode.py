@@ -40,7 +40,6 @@ Numerical notes:
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 from typing import Callable, Sequence, TYPE_CHECKING
 
@@ -203,10 +202,14 @@ class DecodedOp:
 
 @dataclass
 class DecodedProgram:
-    """A kernel's micro-op array, indexed by pc."""
+    """A kernel's micro-op array, indexed by pc.
+
+    It holds no reference to its :class:`KernelCode`: the bare decode
+    is memoised on the kernel, and a pointer back would make every
+    build cyclic garbage.
+    """
 
     name: str
-    code: KernelCode
     ops: tuple[DecodedOp, ...]
     #: True when a tool's plan has been fused in (even an empty plan:
     #: an instrumented launch of an injection-free kernel still pays JIT).
@@ -240,7 +243,7 @@ def decode_program(code: KernelCode) -> DecodedProgram:
     if cached is not None:
         return cached
     ops = tuple(_decode_instr(code, instr) for instr in code.instructions)
-    prog = DecodedProgram(code.name, code, ops)
+    prog = DecodedProgram(code.name, ops)
     code._decoded_bare = prog
     return prog
 
@@ -272,12 +275,13 @@ def fuse_plan(prog: DecodedProgram,
     cohort_ready = True
     for pc in before.keys() | after.keys():
         op = ops[pc]
-        op = ops[pc] = dataclasses.replace(
-            op, before=tuple(before.get(pc, ())),
-            after=tuple(after.get(pc, ())))
+        pre, post = tuple(before.get(pc, ())), tuple(after.get(pc, ()))
+        ops[pc] = DecodedOp(op.pc, op.instr, op.guard, op.cycles, op.is_fp,
+                            op.execute, op.opcode, op.vectorizable,
+                            op.uses_cbank, op.uses_global, pre, post)
         cohort_ready = cohort_ready and op.vectorizable and all(
-            inj.cohort_fn is not None for inj in op.before + op.after)
-    return DecodedProgram(prog.name, prog.code, tuple(ops),
+            inj.cohort_fn is not None for inj in pre + post)
+    return DecodedProgram(prog.name, tuple(ops),
                           instrumented=True, plans=tuple(plans),
                           cohort_ready=cohort_ready)
 

@@ -256,7 +256,7 @@ class _PoolWorker:
     def __init__(self, ctx, spill_dir: str) -> None:
         _PoolWorker._seq += 1
         self.spill_path = os.path.join(
-            spill_dir, f"flight-{_PoolWorker._seq}.jsonl")
+            spill_dir, f"flight-{_PoolWorker._seq}.ring")
         self.conn, child = ctx.Pipe(duplex=True)
         self.proc = ctx.Process(
             target=_pool_worker_main, args=(child, self.spill_path),

@@ -81,7 +81,8 @@ class Instruction:
 
         Hashes the disassembly text plus the pc, so two kernels whose
         instruction streams render identically share per-instruction
-        fingerprints.  Used as a component of decode-cache keys.
+        fingerprints.  Part of the NVBit-style inspection API; the
+        decode caches key on :meth:`KernelCode.fingerprint` instead.
         """
         text = f"{self.pc}:{self.getSASS()}"
         return hashlib.sha1(text.encode()).hexdigest()[:16]

@@ -125,20 +125,38 @@ class Operand:
         raise AssertionError(f"unhandled operand type {self.type}")
 
 
+#: Interned REG and PRED operands, keyed by (number, modifier flags).
+#: Operands are frozen, so one object serves every instruction; the ISA
+#: bounds the tables (NUM_REGS x 8 and NUM_PREDS x 2 entries).
+#: Immediates are not interned: their vocabulary is unbounded, and a
+#: value key would merge ``-0.0`` with ``0.0`` and never find a NaN.
+_REGS: dict[tuple, Operand] = {}
+_PREDS: dict[tuple, Operand] = {}
+
+
 def reg(num: int, *, negated: bool = False, absolute: bool = False,
         reuse: bool = False) -> Operand:
-    """Build a REG operand (``RZ`` via ``reg(RZ)``)."""
-    if not 0 <= num < NUM_REGS:
-        raise ValueError(f"register number out of range: {num}")
-    return Operand(OperandType.REG, num=num, negated=negated,
-                   absolute=absolute, reuse=reuse)
+    """The REG operand ``num`` (``RZ`` via ``reg(RZ)``), interned."""
+    key = (num, negated, absolute, reuse)
+    op = _REGS.get(key)
+    if op is None:
+        if not 0 <= num < NUM_REGS:
+            raise ValueError(f"register number out of range: {num}")
+        op = _REGS[key] = Operand(OperandType.REG, num=num, negated=negated,
+                                  absolute=absolute, reuse=reuse)
+    return op
 
 
 def pred(num: int, *, negated: bool = False) -> Operand:
-    """Build a PRED operand (``PT`` via ``pred(PT)``)."""
-    if not 0 <= num < NUM_PREDS:
-        raise ValueError(f"predicate number out of range: {num}")
-    return Operand(OperandType.PRED, num=num, negated=negated)
+    """The PRED operand ``num`` (``PT`` via ``pred(PT)``), interned."""
+    key = (num, negated)
+    op = _PREDS.get(key)
+    if op is None:
+        if not 0 <= num < NUM_PREDS:
+            raise ValueError(f"predicate number out of range: {num}")
+        op = _PREDS[key] = Operand(OperandType.PRED, num=num,
+                                   negated=negated)
+    return op
 
 
 def imm_double(value: float, text: str = "") -> Operand:

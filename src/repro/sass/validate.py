@@ -77,10 +77,12 @@ def validate_kernel(code: KernelCode, *, strict: bool = False
             err(pc, f"{instr.opcode} result pair overflows at R{dest}")
 
         # predicate-writing opcodes need predicate destinations
-        if info.writes_pred and instr.dest_pred() is None:
-            err(pc, f"{instr.opcode} requires a predicate destination")
-        if info.writes_pred and instr.dest_pred() == PT:
-            warn(pc, f"{instr.opcode} writes PT (discarded)")
+        if info.writes_pred:
+            dest_pred = instr.dest_pred()
+            if dest_pred is None:
+                err(pc, f"{instr.opcode} requires a predicate destination")
+            elif dest_pred == PT:
+                warn(pc, f"{instr.opcode} writes PT (discarded)")
 
         # structural rules
         if instr.opcode == "SSY":
@@ -96,7 +98,6 @@ def validate_kernel(code: KernelCode, *, strict: bool = False
                          "reconvergence point")
 
         # operand-shape checks for common opcodes
-        n_regs = len(instr.reg_nums())
         if instr.opcode in ("FADD", "FMUL", "DADD", "DMUL") and \
                 len(instr.source_operands()) != 2:
             err(pc, f"{instr.opcode} takes two sources")
@@ -111,7 +112,6 @@ def validate_kernel(code: KernelCode, *, strict: bool = False
                 m in ("RCP", "RCP64H", "RSQ", "SQRT", "EX2", "LG2",
                       "SIN", "COS") for m in instr.modifiers):
             err(pc, "MUFU without a function modifier")
-        del n_regs
 
     if strict and any(i.severity == "error" for i in issues):
         detail = "; ".join(str(i) for i in issues

@@ -131,7 +131,8 @@ class Span:
 
     __slots__ = ("name", "attrs", "t0", "t1", "depth", "lane", "_tel")
 
-    def __init__(self, tel: "Telemetry", name: str, attrs: dict) -> None:
+    def __init__(self, tel: "Telemetry | None", name: str,
+                 attrs: dict) -> None:
         self._tel = tel
         self.name = name
         self.attrs = attrs
@@ -162,6 +163,9 @@ class Span:
             tel.spans.append(self)
         tel.flight.note(KIND_SPAN, self.name,
                         dur=round(self.t1 - self.t0, 6), depth=self.depth)
+        # A recorded span must not point back at the registry that holds
+        # it, or the registry dies only by the cyclic collector.
+        self._tel = None
         return False
 
     @property

@@ -19,17 +19,15 @@ Two read paths:
   seconds on disk for the parent to recover with :func:`load_spill`
   (tolerant of a torn final record — the kill can land mid-write).
 
-The spill used to be a line-buffered JSONL mirror; at ~2k records per
-sweep unit the ``json.dumps`` + ``write(2)`` per record dominated the
-warm worker pool's overhead, so it is now a fixed-size mmap ring of
-length-prefixed pickles: one ~1µs memcpy per record, no syscalls, no
-unbounded file growth, same durability (mmap pages survive SIGKILL).
-:func:`load_spill` still reads legacy JSONL files.
+The spill is a fixed-size mmap ring of length-prefixed pickles: one
+~1µs memcpy per record, no syscalls, no unbounded file growth, and mmap
+pages survive SIGKILL.  (It replaced a line-buffered JSONL mirror whose
+``json.dumps`` + ``write(2)`` per record dominated the warm worker
+pool's overhead.)
 """
 
 from __future__ import annotations
 
-import json
 import mmap
 import os
 import pickle
@@ -218,21 +216,20 @@ class FlightRecorder:
 
 
 def load_spill(path: str, limit: int = DEFAULT_CAPACITY) -> list[dict]:
-    """The last ``limit`` records of a spill file, oldest first.
+    """The last ``limit`` records of a ring-journal spill file, oldest
+    first.
 
-    Understands both the mmap ring journal and the legacy JSONL mirror
-    (sniffed by magic).  Unparseable records (the torn final write of a
-    killed process) are skipped; a missing or empty file is just an
-    empty flight.
+    The torn newest record of a killed process is dropped; a missing,
+    empty or foreign file is just an empty flight.
     """
     try:
         with open(path, "rb") as fh:
             blob = fh.read()
     except OSError:
         return []
-    if blob.startswith(_SPILL_MAGIC):
-        return _load_ring(blob)[-limit:]
-    return _load_jsonl(blob, limit)
+    if not blob.startswith(_SPILL_MAGIC):
+        return []
+    return _load_ring(blob)[-limit:]
 
 
 def _load_ring(blob: bytes) -> list[dict]:
@@ -267,23 +264,6 @@ def _load_ring(blob: bytes) -> list[dict]:
             records.append(rec)
         off = start + size
     return records
-
-
-def _load_jsonl(blob: bytes, limit: int) -> list[dict]:
-    try:
-        tail = deque(blob.decode("utf-8", "replace").splitlines(),
-                     maxlen=limit + 1)
-    except Exception:  # pragma: no cover - defensive
-        return []
-    records = []
-    for line in tail:
-        try:
-            rec = json.loads(line)
-        except ValueError:
-            continue
-        if isinstance(rec, dict):
-            records.append(rec)
-    return records[-limit:]
 
 
 def render_flight(records: list[dict], limit: int | None = None) -> str:

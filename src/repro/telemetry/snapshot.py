@@ -104,7 +104,7 @@ def merge_snapshot(tel: Telemetry | NullTelemetry, snap: dict) -> None:
     lane = snap.get("pid")
     own = os.getpid()
     for data in snap.get("spans", ()):
-        span = Span(tel, data["name"], dict(data["attrs"]))
+        span = Span(None, data["name"], dict(data["attrs"]))
         span.t0 = data["t0"]
         span.t1 = data["t1"]
         span.depth = data["depth"]

@@ -1,5 +1,7 @@
 """Compiler tests: DSL -> SASS correctness and fast-math codegen effects."""
 
+import random
+
 import numpy as np
 import pytest
 
@@ -11,7 +13,9 @@ from repro.compiler import (
     f64,
 )
 from repro.compiler.dsl import Call, Cmp, Const, DType, Select
+from repro.compiler.lowering import LoweringError, Val, _RegAlloc
 from repro.gpu import Device, LaunchConfig
+from repro.sass.operands import RZ
 
 
 def run_compiled(compiled, device, *, grid=1, block=32, **params):
@@ -38,6 +42,72 @@ def elementwise_f32(fn, xs, *, options=None, block=32, name="ew"):
     ay = device.alloc_zeros(4 * block)
     run_compiled(compiled, device, block=block, x=ax, y=ay)
     return device.read_back(ay, np.float32, block)[:xs.size]
+
+
+class _MinRegAlloc:
+    """The allocator's reference semantics: the lowest free register,
+    found by ``min()`` over the free set."""
+
+    def __init__(self):
+        self.free_regs = set(range(4, 250))
+
+    def alloc(self, dtype):
+        if dtype is DType.F64:
+            for r in sorted(self.free_regs):
+                if r % 2 == 0 and (r + 1) in self.free_regs:
+                    self.free_regs -= {r, r + 1}
+                    return r
+            raise LoweringError("out of FP64 register pairs")
+        if not self.free_regs:
+            raise LoweringError("out of registers")
+        r = min(self.free_regs)
+        self.free_regs.discard(r)
+        return r
+
+    def free(self, val):
+        if val.pinned or val.reg == RZ:
+            return
+        self.free_regs.add(val.reg)
+        if val.dtype is DType.F64:
+            self.free_regs.add(val.reg + 1)
+
+
+class TestRegAlloc:
+    @pytest.mark.parametrize("seed", range(8))
+    def test_matches_min_reference(self, seed):
+        rng = random.Random(seed)
+        got, ref = _RegAlloc(), _MinRegAlloc()
+        live, freed, exhausted = [], [], 0
+        for step in range(3000):
+            roll = rng.random()
+            if roll < 0.55 or not live:
+                dtype = DType.F64 if rng.random() < 0.3 else DType.F32
+                outcomes = []
+                for alloc in (got, ref):
+                    try:
+                        outcomes.append(alloc.alloc(dtype))
+                    except LoweringError as exc:
+                        outcomes.append(str(exc))
+                assert outcomes[0] == outcomes[1], (seed, step, dtype)
+                if isinstance(outcomes[0], str):
+                    exhausted += 1
+                    continue
+                if dtype is DType.F64:
+                    assert outcomes[0] % 2 == 0
+                live.append(Val(outcomes[0], dtype))
+            else:
+                # Frees include pinned values, RZ and values freed
+                # before: each allocator must treat them alike.
+                if roll < 0.9:
+                    val = live.pop(rng.randrange(len(live)))
+                    freed.append(val)
+                elif roll < 0.95 and freed:
+                    val = rng.choice(freed)
+                else:
+                    val = Val(rng.choice([RZ, 7]), DType.F32, pinned=True)
+                got.free(val)
+                ref.free(val)
+        assert exhausted, "the sequence never ran out of registers"
 
 
 class TestBasicCodegen:

@@ -1,7 +1,6 @@
 """Flight recorder: ring semantics, spill files, registry feed, and the
 sweep's ship-the-ring-home path for killed workers."""
 
-import json
 import os
 
 import pytest
@@ -14,6 +13,8 @@ from repro.harness.parallel import (
 )
 from repro.telemetry import Telemetry, telemetry_session
 from repro.telemetry.flight import (
+    _SPILL_HEADER,
+    _SPILL_LEN,
     DEFAULT_CAPACITY,
     FlightRecorder,
     load_spill,
@@ -78,7 +79,7 @@ class TestRegistryFeed:
 
 class TestSpill:
     def test_spill_mirrors_and_truncates(self, tmp_path):
-        path = str(tmp_path / "flight.jsonl")
+        path = str(tmp_path / "flight.ring")
         fr = FlightRecorder()
         fr.spill_to(path)
         fr.note("event", "first")
@@ -89,17 +90,30 @@ class TestSpill:
         assert [r["name"] for r in records] == ["second"]
 
     def test_load_spill_skips_torn_final_line(self, tmp_path):
-        path = tmp_path / "torn.jsonl"
-        path.write_text(json.dumps({"name": "whole", "kind": "event"})
-                        + "\n" + '{"name": "to')
+        # A kill between the header claim and the payload write leaves
+        # the newest record's length in place over unwritten bytes.
+        path = tmp_path / "torn.ring"
+        fr = FlightRecorder()
+        fr.spill_to(str(path))
+        fr.note("event", "whole")
+        fr.note("event", "torn")
+        fr.close_spill()
+        blob = bytearray(path.read_bytes())
+        base = _SPILL_HEADER.size
+        (first,) = _SPILL_LEN.unpack_from(blob, base)
+        newest = base + _SPILL_LEN.size + first
+        (size,) = _SPILL_LEN.unpack_from(blob, newest)
+        start = newest + _SPILL_LEN.size
+        blob[start:start + size] = bytes(size)
+        path.write_bytes(bytes(blob))
         records = load_spill(str(path))
         assert [r["name"] for r in records] == ["whole"]
 
     def test_load_spill_missing_file(self, tmp_path):
-        assert load_spill(str(tmp_path / "nope.jsonl")) == []
+        assert load_spill(str(tmp_path / "nope.ring")) == []
 
     def test_load_spill_honors_limit(self, tmp_path):
-        path = str(tmp_path / "many.jsonl")
+        path = str(tmp_path / "many.ring")
         fr = FlightRecorder()
         fr.spill_to(path)
         for i in range(DEFAULT_CAPACITY + 50):

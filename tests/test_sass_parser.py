@@ -14,6 +14,7 @@ from repro.sass import (
     parse_instruction,
     parse_lines,
 )
+from repro.sass.operands import imm_double, pred, reg
 
 
 class TestParseBasics:
@@ -126,6 +127,41 @@ class TestSassRendering:
             i = parse_instruction(text)
             j = parse_instruction(i.getSASS())
             assert j.getSASS() == i.getSASS()
+
+
+class TestOperandTable:
+    def test_registers_and_predicates_are_interned(self):
+        assert reg(5) is reg(5)
+        assert reg(5, negated=True) is reg(5, negated=True)
+        assert reg(5, negated=True) is not reg(5)
+        assert pred(PT) is pred(PT)
+        i = parse_instruction("FADD R6, R1, R6 ;")
+        assert i.operands[0] is i.operands[2] is reg(6)
+
+    def test_out_of_range_numbers_raise_once_warm(self):
+        for num in (0, RZ):  # warm both tables at their edges
+            reg(num)
+            pred(num % 8)
+        for bad in (-1, 256, 1000):
+            # twice: a refused number must not reach the table
+            with pytest.raises(ValueError):
+                reg(bad)
+            with pytest.raises(ValueError):
+                reg(bad)
+        for bad in (-1, 8):
+            with pytest.raises(ValueError):
+                pred(bad)
+
+    def test_immediates_stay_per_instruction(self):
+        # A table keyed by value would merge -0.0 with 0.0 (they compare
+        # equal) and could never find a NaN (nan != nan).
+        assert imm_double(0.0).sass() == "0.0"
+        assert imm_double(-0.0).sass() == "-0.0"
+        assert imm_double(math.nan, text="-QNAN").sass() == "-QNAN"
+        assert imm_double(math.nan, text="+QNAN").sass() == "+QNAN"
+        for text in ("FADD R0, R1, 0.0 ;", "FADD R0, R1, -0.0 ;",
+                     "FADD R0, R1, -QNAN ;", "FADD R0, R1, +QNAN ;"):
+            assert parse_instruction(text).getSASS() == text
 
 
 class TestParseLines:
