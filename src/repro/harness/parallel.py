@@ -14,9 +14,10 @@ This module is the **dispatch layer** over two engines:
   units pickle (module-level functions / partials over plain data and
   registered programs).  Workers persist *across* sweeps with warm
   decode/build caches, tasks and results travel pickled over each
-  worker's pipe, idle workers steal queued tasks from loaded ones, and
-  worker telemetry streams into the deterministic unit-order merge as
-  units finish (:class:`repro.telemetry.snapshot.IncrementalMerger`)
+  worker's pipe, each worker holds at most one task (sent only when it
+  is idle, so a slow unit strands nothing behind it), and worker
+  telemetry streams into the deterministic unit-order merge as units
+  finish (:class:`repro.telemetry.snapshot.IncrementalMerger`)
   instead of at an end-of-sweep barrier.  An explicitly installed pool
   (``Session(pool=...)``, :func:`repro.harness.pool.use_pool`) is used
   even at ``jobs=1``.
@@ -26,10 +27,12 @@ This module is the **dispatch layer** over two engines:
 
 Contract points of the pool engine:
 
-- **one pipe per worker** — the parent always knows which unit a worker
+- **one task per worker** — the parent always knows which unit a worker
   holds, so a worker that dies mid-unit (segfault, ``os._exit``,
   OOM-kill) is attributed precisely: the unit is marked failed (or
-  retried) and the sweep continues with a respawned worker.
+  retried) and the sweep continues with a respawned worker.  A worker
+  that died idle, or before starting its unit, is replaced without
+  charging a retry.
 - **per-unit timeout** — a unit that exceeds ``timeout`` seconds gets
   its worker terminated and is marked failed; the pool is replenished
   and the sweep continues.  Timed-out units are not retried — a hang
@@ -86,7 +89,6 @@ from ..telemetry.names import (
     GAUGE_POOL_ARENA_BYTES,
     GAUGE_POOL_WORKERS_WARM,
     GAUGE_SWEEP_INFLIGHT,
-    GAUGE_SWEEP_STEALS,
     SPAN_SWEEP,
 )
 from ..telemetry.server import any_active
@@ -460,8 +462,9 @@ class _Collector:
         self._merger = IncrementalMerger(tel) if self.capture else None
 
     def begin_attempt(self, index: int) -> None:
-        """A worker actually *started* unit ``index`` (not merely had it
-        queued) — so stolen-back tasks never count as retries."""
+        """A worker actually *started* unit ``index`` (not merely
+        received it) — so a task requeued from a worker that died before
+        starting it never counts as a retry."""
         self.attempts[index] += 1
 
     # -- live publication --------------------------------------------------
@@ -569,9 +572,8 @@ def _run_pooled(p, units: list[SweepUnit], blobs: list[bytes], jobs: int,
     collector = _Collector(units, retries, on_outcome)
     warm = p.warm_workers()
     try:
-        p.run_units(blobs, timeout=timeout, retries=retries,
-                    collector=collector, capture=collector.capture,
-                    push=collector.push)
+        p.run_units(blobs, timeout=timeout, collector=collector,
+                    capture=collector.capture, push=collector.push)
     except BaseException:
         # SIGINT or any parent-side failure mid-sweep: tear the pool
         # down — workers terminated, spill files harvested into
@@ -582,8 +584,6 @@ def _run_pooled(p, units: list[SweepUnit], blobs: list[bytes], jobs: int,
         collector.close()
     tel = get_telemetry()
     if tel.enabled:
-        stats = p.stats()
-        tel.gauge(GAUGE_SWEEP_STEALS, p.steals_last_sweep)
         tel.gauge(GAUGE_POOL_WORKERS_WARM, warm)
-        tel.gauge(GAUGE_POOL_ARENA_BYTES, stats.arena_bytes)
+        tel.gauge(GAUGE_POOL_ARENA_BYTES, p.stats().arena_bytes)
     return collector.result(jobs)

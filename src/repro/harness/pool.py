@@ -1,4 +1,4 @@
-"""Persistent, warm, work-stealing worker pool for the sweep engine.
+"""Persistent, warm worker pool for the sweep engine.
 
 Worker processes *outlive* sweeps, so the ~10 sweeps in a full
 evaluation pay process startup once and reuse every decoded kernel:
@@ -12,18 +12,17 @@ evaluation pay process startup once and reuse every decoded kernel:
   pure function of the unit and jobs=1/2/4 renders remain
   byte-identical.
 - **one pipe per worker.**  Task blobs go down and result payloads come
-  back pickled over the worker's duplex pipe, alongside the control
-  messages (start, steal, progress).  The pool counts the payload bytes
-  in both directions (:attr:`PoolStats.arena_bytes`).
-- **work stealing.**  Each worker prefetches up to
-  :data:`PREFETCH_DEPTH` tasks into a local deque; when the global
-  queue drains and a worker goes idle, the parent steals queued (never
-  started) tasks back from the most-loaded worker and reassigns them,
-  so one long-tail unit (myocyte) stops gating the sweep.
+  back pickled over the worker's duplex pipe, alongside the ``start``
+  and ``progress`` messages.  The pool counts the payload bytes in both
+  directions (:attr:`PoolStats.arena_bytes`).
+- **one task in flight per worker.**  The parent sends a task only to
+  an idle worker, so a long-tail unit (myocyte) holds its own worker
+  and nothing else: the remaining units run on the others.
 - **failure contract.**  Per-unit deadlines kill and respawn the worker
   (fresh spill file); crashes are attributed to the running unit with
-  the flight-recorder spill tailed into diagnostics; queued-but-unstarted
-  tasks are requeued without burning a retry.
+  the flight-recorder spill tailed into diagnostics.  A task whose
+  worker died before starting it, and a worker that died idle, cost no
+  retry: the task is requeued and the worker replaced.
 
 Tasks must be *picklable* (module-level functions / ``functools.partial``
 over plain data and registered programs) —
@@ -75,9 +74,6 @@ __all__ = [
 
 log = logging.getLogger("repro.harness.pool")
 
-#: Tasks a worker may hold locally (1 running + N-1 prefetched).
-PREFETCH_DEPTH = 2
-
 # Failure kinds — mirror repro.harness.parallel.FAIL_* (string contract).
 _FAIL_ERROR = "error"
 _FAIL_TIMEOUT = "timeout"
@@ -101,7 +97,8 @@ def pool_available() -> bool:
 # -- worker-side warm build cache -------------------------------------------
 
 _WARM_BUILDS: "OrderedDict[tuple, object]" = OrderedDict()
-_WARM_BUILD_CAP = int(os.environ.get("REPRO_WARM_BUILDS_CAP", "256"))
+#: Most builds a worker keeps warm (least recently used go first).
+_WARM_BUILD_CAP = 256
 #: Worker-side warm-hit counters, shipped home in result metadata.
 _WORKER_STATS = {"warm_builds": 0}
 
@@ -128,10 +125,9 @@ def warm_build(program, *, options=None, cost=None):
     built = _WARM_BUILDS.get(key)
     if built is None or built.program is not program:
         built = build_program(program, options=options, cost=cost)
-        if _WARM_BUILD_CAP > 0:
-            _WARM_BUILDS[key] = built
-            while len(_WARM_BUILDS) > _WARM_BUILD_CAP:
-                _WARM_BUILDS.popitem(last=False)
+        _WARM_BUILDS[key] = built
+        if len(_WARM_BUILDS) > _WARM_BUILD_CAP:
+            _WARM_BUILDS.popitem(last=False)
         return built
     _WARM_BUILDS.move_to_end(key)
     _WORKER_STATS["warm_builds"] += 1
@@ -154,13 +150,13 @@ def _warm_decode_hits() -> int:
 
 
 def _pool_worker_main(conn, spill_path: str) -> None:
-    """Worker loop: a main execution thread plus a pipe-reader thread.
+    """Worker loop: receive a task, send ``start``, run it, send its
+    result — one task at a time, until the parent sends ``None`` or
+    closes the pipe.
 
-    The reader unpickles incoming task blobs into a local deque and
-    answers steal requests without blocking execution; the main thread
-    pops tasks FIFO and runs them through
-    :func:`~repro.harness.parallel._run_unit` (fresh registry, flight
-    spill, progress ticker).
+    Units run through :func:`~repro.harness.parallel._run_unit` (fresh
+    registry, flight spill, progress ticker).  The ticker sends from its
+    own thread, hence the send lock.
     """
     global _IN_WORKER
     _IN_WORKER = True
@@ -173,47 +169,34 @@ def _pool_worker_main(conn, spill_path: str) -> None:
 
     from .parallel import SweepUnit, _run_unit
 
-    local: deque = deque()
-    cond = threading.Condition()
-    state = {"stop": False}
     send_lock = threading.Lock()
 
     def send(msg) -> None:
         with send_lock:
             conn.send(msg)
 
-    def reader() -> None:
-        while True:
-            try:
-                msg = conn.recv()
-            except (EOFError, OSError):
-                msg = None
-            if msg is None:
-                with cond:
-                    state["stop"] = True
-                    cond.notify()
-                return
-            kind = msg[0]
-            if kind == "task":
-                _, tid, blob, capture, push = msg
-                try:
-                    key, fn = pickle.loads(blob)
-                    task = (tid, key, fn, capture, push)
-                except Exception:
-                    task = (tid, f"task-{tid}", None, capture, push)
-                with cond:
-                    local.append(task)
-                    cond.notify()
-            elif kind == "steal":
-                k = msg[1]
-                with cond:
-                    got = [local.pop() for _ in range(min(k, len(local)))]
-                send(("stolen", [t[0] for t in got]))
-
-    threading.Thread(target=reader, daemon=True,
-                     name="repro-pool-reader").start()
-
-    def ship(tid: int, payload: tuple) -> None:
+    while True:
+        try:
+            msg = conn.recv()
+        except (EOFError, OSError):
+            return
+        if msg is None:
+            return
+        _, tid, blob, capture, push = msg
+        # Decode before "start", so the deadline does not count a spawn
+        # worker importing the unit's modules.
+        try:
+            key, fn = pickle.loads(blob)
+        except Exception:
+            key = fn = None
+        send(("start", tid))
+        if fn is None:
+            payload = ("error",
+                       f"pool task 'task-{tid}' could not be decoded in "
+                       "the worker", None, 0.0, None)
+        else:
+            payload = _run_unit(SweepUnit(key, fn), capture, spill_path,
+                                progress=send if push else None)
         try:
             data = pickle.dumps(payload, protocol=5)
         except Exception:
@@ -226,23 +209,6 @@ def _pool_worker_main(conn, spill_path: str) -> None:
         meta = {"warm_builds": _WORKER_STATS["warm_builds"],
                 "warm_decodes": _warm_decode_hits()}
         send(("result", tid, data, meta))
-
-    while True:
-        with cond:
-            while not local and not state["stop"]:
-                cond.wait()
-            if not local:
-                return  # stop requested and nothing left to run
-            tid, key, fn, capture, push = local.popleft()
-        send(("start", tid))
-        if fn is None:
-            payload = ("error",
-                       f"pool task {key!r} could not be decoded in the "
-                       "worker", None, 0.0, None)
-        else:
-            payload = _run_unit(SweepUnit(key, fn), capture, spill_path,
-                                progress=send if push else None)
-        ship(tid, payload)
 
 
 # -- parent side ------------------------------------------------------------
@@ -263,20 +229,15 @@ class _PoolWorker:
             daemon=True, name="repro-pool-worker")
         self.proc.start()
         child.close()
-        self.running: int | None = None   # started, in-flight task id
-        self.queued: list[int] = []       # sent but not yet started
+        self.task: int | None = None      # the one task it holds
+        self.started = False              # ... and whether it began
         self.deadline: float | None = None
-        self.steal_pending = False
         self.tasks_done = 0
         self.meta = {"warm_builds": 0, "warm_decodes": 0}
 
     @property
     def pid(self) -> int:
         return self.proc.pid
-
-    @property
-    def load(self) -> int:
-        return (self.running is not None) + len(self.queued)
 
     def destroy(self, *, kill: bool = False) -> None:
         """Stop the process and close its pipe."""
@@ -303,14 +264,12 @@ class PoolStats:
     #: Kept because benchmark records read it.
     inline_fallbacks = 0
 
-    def __init__(self, workers: int, warm_workers: int, steals: int,
+    def __init__(self, workers: int, warm_workers: int,
                  warm_builds: int, warm_decodes: int,
                  arena_bytes: int) -> None:
         self.workers = workers
         #: Workers that had already completed work before this sweep.
         self.warm_workers = warm_workers
-        #: Steal reassignments during the most recent sweep.
-        self.steals = steals
         self.warm_builds = warm_builds
         self.warm_decodes = warm_decodes
         #: Task and result payload bytes over the pool's pipes (both
@@ -320,7 +279,7 @@ class PoolStats:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"PoolStats(workers={self.workers}, "
                 f"warm_workers={self.warm_workers}, "
-                f"steals={self.steals}, warm_builds={self.warm_builds}, "
+                f"warm_builds={self.warm_builds}, "
                 f"warm_decodes={self.warm_decodes}, "
                 f"arena_bytes={self.arena_bytes})")
 
@@ -332,8 +291,8 @@ class WorkerPool:
     environment variable (how CI exercises the spawn lane on fork
     platforms), then picks ``fork`` when available, else ``spawn``
     (loudly logged, since spawn workers pay an import on first spin-up).
-    The pool only ever *grows* — ``ensure_workers`` adds slots, a sweep
-    that asks for fewer simply leaves the extras idle-but-warm.
+    The pool only ever *grows* — ``ensure_workers`` adds slots, and a
+    sweep that asks for fewer jobs still runs on every worker.
     """
 
     def __init__(self, jobs: int = 1, *,
@@ -359,7 +318,6 @@ class WorkerPool:
         self._closed = False
         self.busy = False
         self.sweeps = 0
-        self.steals_last_sweep = 0
         self._payload_bytes = 0
         self.ensure_workers(jobs)
 
@@ -389,8 +347,7 @@ class WorkerPool:
     def stats(self) -> PoolStats:
         return PoolStats(
             workers=len(self._workers),
-            warm_workers=sum(1 for w in self._workers if w.tasks_done),
-            steals=self.steals_last_sweep,
+            warm_workers=self.warm_workers(),
             warm_builds=sum(w.meta["warm_builds"] for w in self._workers),
             warm_decodes=sum(w.meta["warm_decodes"]
                              for w in self._workers),
@@ -399,14 +356,16 @@ class WorkerPool:
     # -- the sweep loop ----------------------------------------------------
 
     def run_units(self, blobs: list[bytes], *,
-                  timeout: float | None, retries: int, collector,
+                  timeout: float | None, collector,
                   capture: bool, push: bool) -> None:
         """Drive ``blobs`` to completion, reporting into ``collector``.
 
         ``collector`` is the scheduling-policy-free half of the sweep
         (:class:`repro.harness.parallel._Collector`): it owns outcomes,
         retry budgets, live publication and the incremental telemetry
-        merge; this loop owns workers, pipes, deadlines and stealing.
+        merge; this loop owns workers, pipes and deadlines.  Every task
+        is pending, held by one worker, or done, so while a task is left
+        some worker holds one.
         """
         if self._closed:
             raise RuntimeError("worker pool is shut down")
@@ -414,90 +373,52 @@ class WorkerPool:
             raise RuntimeError("worker pool is already running a sweep")
         self.busy = True
         self.sweeps += 1
-        steals = 0
         n = len(blobs)
         pending: deque[int] = deque(range(n))
-        workers = self._workers
-        for w in workers:  # stale bookkeeping from an aborted sweep
-            w.running = None
-            w.queued = []
-            w.deadline = None
-            w.steal_pending = False
         try:
             while collector.done < n:
                 self._dispatch(pending, blobs, capture, push)
-                if not pending:
-                    steals += self._request_steals()
+                busy = {w.conn: w for w in self._workers
+                        if w.task is not None}
                 collector.publish_parent(
-                    sum(1 for w in workers if w.running is not None))
-                busy = [w for w in workers if w.load or w.steal_pending]
-                if not busy:  # pragma: no cover - defensive
-                    if not pending:
-                        break
-                    continue
-                wait_for = None
-                now = time.monotonic()
-                deadlines = [w.deadline for w in busy
+                    sum(1 for w in busy.values() if w.started))
+                deadlines = [w.deadline for w in busy.values()
                              if w.deadline is not None]
-                if deadlines:
-                    wait_for = max(0.0, min(deadlines) - now)
-                ready = multiprocessing.connection.wait(
-                    [w.conn for w in busy], timeout=wait_for)
-                by_conn = {w.conn: w for w in busy}
-                for conn in ready:
-                    self._drain(by_conn[conn], pending, timeout,
-                                collector)
+                wait_for = max(0.0, min(deadlines) - time.monotonic()) \
+                    if deadlines else None
+                for conn in multiprocessing.connection.wait(
+                        list(busy), timeout=wait_for):
+                    self._drain(busy[conn], pending, timeout, collector)
                 now = time.monotonic()
-                for w in list(workers):
-                    if w.running is None or w.deadline is None \
-                            or now < w.deadline:
-                        continue
-                    self._timeout(w, pending, timeout, collector)
+                for w in list(self._workers):
+                    if w.deadline is not None and now >= w.deadline:
+                        self._timeout(w, timeout, collector)
         finally:
             self.busy = False
-            self.steals_last_sweep = steals
 
     def _dispatch(self, pending: deque, blobs: list[bytes],
                   capture: bool, push: bool) -> None:
-        progress = True
-        while pending and progress:
-            progress = False
-            for w in self._workers:
-                if not pending or w.load >= PREFETCH_DEPTH \
-                        or not w.proc.is_alive():
-                    continue
-                tid = pending.popleft()
-                try:
-                    w.conn.send(("task", tid, blobs[tid], capture, push))
-                except (OSError, ValueError):
-                    # Crash will surface as EOF on the next wait; put
-                    # the task back so nothing is lost meanwhile.
-                    pending.appendleft(tid)
-                    continue
-                self._payload_bytes += len(blobs[tid])
-                w.queued.append(tid)
-                progress = True
+        """Send one pending task to each idle worker.
 
-    def _request_steals(self) -> int:
-        """Rebalance: ask loaded workers to give queued tasks back."""
-        requested = 0
-        idle = [w for w in self._workers
-                if w.load == 0 and w.proc.is_alive()]
-        if not idle:
-            return 0
-        for _ in idle:
-            victims = [w for w in self._workers
-                       if w.queued and not w.steal_pending]
-            if not victims:
-                break
-            victim = max(victims, key=lambda w: len(w.queued))
-            try:
-                victim.conn.send(("steal", 1))
-            except (OSError, ValueError):
+        A worker that died idle (killed between sweeps, say) holds no
+        unit, so it is replaced without charging one.
+        """
+        for w in self._workers:
+            if not pending:
+                return
+            if w.task is not None:
                 continue
-            victim.steal_pending = True
-            requested += 1
-        return requested
+            tid = pending.popleft()
+            msg = ("task", tid, blobs[tid], capture, push)
+            if not w.proc.is_alive():
+                w = self._replace(w)
+            try:
+                w.conn.send(msg)
+            except (OSError, ValueError):  # it died after the check
+                w = self._replace(w)
+                w.conn.send(msg)
+            self._payload_bytes += len(blobs[tid])
+            w.task = tid
 
     def _drain(self, w: _PoolWorker, pending: deque,
                timeout: float | None, collector) -> None:
@@ -513,19 +434,10 @@ class WorkerPool:
             if kind == "progress":
                 collector.publish_worker(w.pid, msg[1])
             elif kind == "start":
-                tid = msg[1]
-                if tid in w.queued:
-                    w.queued.remove(tid)
-                w.running = tid
+                w.started = True
                 w.deadline = (time.monotonic() + timeout) \
                     if timeout is not None else None
-                collector.begin_attempt(tid)
-            elif kind == "stolen":
-                w.steal_pending = False
-                for tid in msg[1]:
-                    if tid in w.queued:
-                        w.queued.remove(tid)
-                        pending.append(tid)
+                collector.begin_attempt(msg[1])
             elif kind == "result":
                 _, tid, data, w.meta = msg
                 self._payload_bytes += len(data)
@@ -536,8 +448,7 @@ class WorkerPool:
                                "pool result payload could not be "
                                "decoded:\n" + traceback.format_exc(),
                                None, 0.0, None)
-                w.running = None
-                w.deadline = None
+                w.task, w.started, w.deadline = None, False, None
                 w.tasks_done += 1
                 collector.retract_worker(w.pid)
                 status, value, snapshot, duration, flight = payload
@@ -550,42 +461,37 @@ class WorkerPool:
                                               flight=flight):
                     pending.append(tid)
 
-    def _reclaim(self, w: _PoolWorker, pending: deque) -> None:
-        """Requeue queued-but-unstarted tasks of a dead worker."""
-        if w.queued:
-            pending.extendleft(reversed(w.queued))
-            w.queued = []
-
-    def _replace(self, w: _PoolWorker) -> None:
+    def _replace(self, w: _PoolWorker) -> _PoolWorker:
+        """Stop ``w`` and put a fresh worker in its slot."""
         slot = self._workers.index(w)
-        self._workers[slot] = self._spawn()
+        w.destroy(kill=True)
+        self._workers[slot] = fresh = self._spawn()
+        return fresh
 
     def _crash(self, w: _PoolWorker, pending: deque, collector) -> None:
         w.proc.join(1.0)  # reap, so the exit code lands in diagnostics
         code = w.proc.exitcode
         flight = load_spill(w.spill_path)
         collector.retract_worker(w.pid)
-        tid = w.running
-        self._reclaim(w, pending)
-        w.destroy(kill=True)
         self._replace(w)
-        if tid is not None and collector.attempt_failed(
-                tid, _FAIL_CRASH,
+        if w.task is None:
+            return
+        if not w.started:  # it never ran: requeue without a retry
+            pending.appendleft(w.task)
+        elif collector.attempt_failed(
+                w.task, _FAIL_CRASH,
                 f"worker process died mid-unit (exit code {code})",
                 flight=flight):
-            pending.append(tid)
+            pending.append(w.task)
 
-    def _timeout(self, w: _PoolWorker, pending: deque,
-                 timeout: float | None, collector) -> None:
-        tid = w.running
+    def _timeout(self, w: _PoolWorker, timeout: float | None,
+                 collector) -> None:
         collector.retract_worker(w.pid)
-        self._reclaim(w, pending)
-        w.destroy(kill=True)
-        flight = load_spill(w.spill_path)
         self._replace(w)
         collector.attempt_failed(
-            tid, _FAIL_TIMEOUT,
-            f"unit exceeded its {timeout:g}s timeout", flight=flight)
+            w.task, _FAIL_TIMEOUT,
+            f"unit exceeded its {timeout:g}s timeout",
+            flight=load_spill(w.spill_path))
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -604,7 +510,7 @@ class WorkerPool:
             return
         self._closed = True
         for w in self._workers:
-            w.destroy(kill=w.running is not None or self.busy)
+            w.destroy(kill=self.busy)
         self._workers = []
         shutil.rmtree(self._spill_dir, ignore_errors=True)
 
@@ -624,7 +530,7 @@ class WorkerPool:
             with contextlib.suppress(Exception):
                 w.proc.terminate()
         for w in self._workers:
-            if w.running is not None:
+            if w.started:
                 records = load_spill(w.spill_path)
                 if records:
                     spills[os.path.basename(w.spill_path)] = records

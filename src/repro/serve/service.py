@@ -91,12 +91,13 @@ class JobService:
         self.config = config or ServeConfig()
         #: The long-lived service registry: ``serve.*`` counters plus
         #: every job's merged telemetry snapshot.
-        self.telemetry = Telemetry()
+        self.telemetry = tel = Telemetry()
         self.cache = ResultCache(self.config.cache_size)
         #: The mounted exposition server (no port of its own — the
-        #: HTTP layer answers its routes through ``respond()``).
-        self.metrics = MetricsServer(
-            source=lambda: live_view(self.telemetry))
+        #: HTTP layer answers its routes through ``respond()``).  Its
+        #: source closes over the registry, not the service, so a shut
+        #: down service dies by reference count.
+        self.metrics = MetricsServer(source=lambda: live_view(tel))
         self._jobs: dict[str, Job] = {}
         self._queue: deque[Job] = deque()
         self._lock = threading.Lock()

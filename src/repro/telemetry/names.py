@@ -64,7 +64,6 @@ __all__ = [
     "GAUGE_SERVE_QUEUE_DEPTH",
     "GAUGE_SERVE_INFLIGHT",
     "GAUGE_SWEEP_INFLIGHT",
-    "GAUGE_SWEEP_STEALS",
     "GAUGE_POOL_WORKERS_WARM",
     "GAUGE_POOL_ARENA_BYTES",
     "SPAN_CONFORMANCE_CASE",
@@ -177,8 +176,6 @@ GAUGE_SWEEP_INFLIGHT = "sweep.units.inflight"
 #: Job-service queue depth and jobs currently executing.
 GAUGE_SERVE_QUEUE_DEPTH = "serve.queue.depth"
 GAUGE_SERVE_INFLIGHT = "serve.jobs.inflight"
-#: Tasks the persistent pool rebalanced by stealing, last sweep.
-GAUGE_SWEEP_STEALS = "sweep.steal"
 #: Pool workers whose caches were warm when the sweep started.
 GAUGE_POOL_WORKERS_WARM = "pool.workers.warm"
 #: Task and result payload bytes over the pool's pipes.  The name
@@ -283,8 +280,6 @@ METRIC_DOCS: dict[str, tuple[str, str]] = {
     GAUGE_SERVE_INFLIGHT: ("gauge", "jobs currently executing"),
     GAUGE_SWEEP_INFLIGHT: ("gauge", "units currently executing in sweep "
                                     "workers (live view)"),
-    GAUGE_SWEEP_STEALS: ("gauge", "tasks rebalanced by work stealing in "
-                                  "the last pooled sweep"),
     GAUGE_POOL_WORKERS_WARM: ("gauge", "pool workers with warm caches at "
                                        "sweep start"),
     GAUGE_POOL_ARENA_BYTES: ("gauge", "task and result payload bytes "

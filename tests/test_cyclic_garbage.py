@@ -1,8 +1,8 @@
 """No public runner leaves cyclic garbage behind.
 
-Every build's instructions, operands, decoded ops and closures, and every
-finished telemetry registry, must die by reference count the moment the
-last user drops them.  Anything that forms a reference cycle instead
+Every build's instructions, operands, decoded ops and closures, every
+finished telemetry registry, and a job service that has shut down must
+die by reference count the moment the last user drops them.  Anything that forms a reference cycle instead
 waits for the cyclic collector, which then walks every live object each
 time it runs.  Each case runs its entry point once to warm the
 process-wide caches, then again with the collector off and
@@ -29,6 +29,7 @@ from repro.harness.runner import (
     run_workload_json,
 )
 from repro.nvbit import LaunchSpec
+from repro.serve import JobService
 from repro.telemetry import telemetry_session
 from repro.workloads import program_by_name
 from repro.workloads.repairs import strategy_for
@@ -86,6 +87,13 @@ def _batch_of_three():
         session.report(member=member)
 
 
+def _job_service():
+    """A started service that ran one workload job, then shut down."""
+    with JobService() as service:
+        job = service.submit({"workload": "GRAMSCHM"})
+        assert job.wait(60) and job.status == "done"
+
+
 RUNNERS = {
     "measure_slowdowns": lambda: measure_slowdowns(_gramschm()),
     "run_detector": lambda: run_detector(_gramschm()),
@@ -101,6 +109,7 @@ RUNNERS = {
     "diagnose": lambda: diagnose(_gramschm(), strategy_for("GRAMSCHM")),
     "run_batch": _batch_of_three,
     "telemetry_session": _in_telemetry_session,
+    "job_service": _job_service,
 }
 
 

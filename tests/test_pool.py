@@ -1,4 +1,4 @@
-"""Warm worker pool tests: lifecycle, stealing, warm caches, identity.
+"""Warm worker pool tests: lifecycle, scheduling, warm caches, identity.
 
 Four concerns, mirroring :mod:`repro.harness.pool`'s guarantees:
 
@@ -6,9 +6,10 @@ Four concerns, mirroring :mod:`repro.harness.pool`'s guarantees:
   external ``SIGKILL`` and ``abort()`` leave no live worker process and
   no flight-spill directory behind, and ``abort()`` harvests the spills
   of units that were still running;
-* scheduling — work stealing rebalances a skewed sweep, crashes and
-  timeouts surface as failed outcomes, and a respawned worker keeps the
-  pool at full strength;
+* scheduling — a worker holds one task at a time, so the units behind a
+  slow one finish on an idle worker; crashes and timeouts surface as
+  failed outcomes; a respawned worker keeps the pool at full strength,
+  and workers killed while idle are replaced by the next sweep;
 * warmth — a pool reused across sweeps reports warm workers and warm
   build-cache hits, which is the entire point of keeping it alive;
 * golden identity — sweeps routed through the pool render byte-identical
@@ -19,6 +20,7 @@ Four concerns, mirroring :mod:`repro.harness.pool`'s guarantees:
 import functools
 import os
 import signal
+import threading
 import time
 import urllib.request
 
@@ -78,11 +80,6 @@ def _value(v):
     return v
 
 
-def _sleepy(v, delay):
-    time.sleep(delay)
-    return v
-
-
 def _boom():
     raise ValueError("pool boom")
 
@@ -97,6 +94,12 @@ def _hang():
 
 def _pid():
     return os.getpid()
+
+
+def _stamp(delay):
+    """Where and when the unit finished."""
+    time.sleep(delay)
+    return os.getpid(), time.monotonic()
 
 
 def _note_then_hang(gate):
@@ -125,6 +128,20 @@ def _blob_units(n, nbytes):
 def _units(n):
     return [SweepUnit(f"u/{i}", functools.partial(_value, i))
             for i in range(n)]
+
+
+def _sweep_within(seconds, pool, units, jobs):
+    """Run a sweep on a thread and fail, rather than hang, if it has not
+    finished after ``seconds``."""
+    done = {}
+    thread = threading.Thread(
+        target=lambda: done.update(result=run_sweep(units, jobs=jobs,
+                                                    pool=pool)),
+        daemon=True)
+    thread.start()
+    thread.join(seconds)
+    assert not thread.is_alive(), f"sweep still running after {seconds}s"
+    return done["result"]
 
 
 @needs_pool
@@ -188,26 +205,24 @@ class TestPoolEngine:
         assert bad.attempts == 1  # timeouts are not retried
         assert result.values() == [None, 0, 1]
 
-    def test_work_stealing_rebalances_skewed_sweep(self):
-        # One slow unit hogs its worker; the fast units queued behind it
-        # must be stolen back and finished elsewhere.
-        units = [SweepUnit("slow", functools.partial(_sleepy, -1, 1.0))]
-        units += [SweepUnit(f"fast/{i}", functools.partial(_value, i))
-                  for i in range(8)]
+    def test_idle_worker_runs_the_units_behind_a_slow_one(self):
+        # One slow unit holds its worker; the fast units behind it must
+        # all finish on the other worker before the slow one ends.
         pool = get_pool(2)
-        with use_pool(pool):
-            result = run_sweep(units, jobs=2)
-        assert result.values_strict() == [-1] + list(range(8))
-        assert pool.steals_last_sweep >= 1
-
-    def test_steal_gauge_set_on_parent_registry(self):
-        units = [SweepUnit("slow", functools.partial(_sleepy, -1, 1.0))]
-        units += [SweepUnit(f"fast/{i}", functools.partial(_value, i))
+        units = [SweepUnit("slow", functools.partial(_stamp, 1.0))]
+        units += [SweepUnit(f"fast/{i}", functools.partial(_stamp, 0.0))
                   for i in range(8)]
+        with use_pool(pool):
+            run_sweep(_units(2), jobs=2)  # both workers up and warm
+            result = run_sweep(units, jobs=2)
+        (slow_pid, slow_end), *fast = result.values_strict()
+        assert [pid for pid, _ in fast if pid == slow_pid] == []
+        assert max(end for _, end in fast) < slow_end
+
+    def test_pool_gauges_set_on_parent_registry(self):
         with telemetry_session() as tel, use_pool(get_pool(2)):
-            run_sweep(units, jobs=2)
+            run_sweep(_units(4), jobs=2)
             snap = metrics_snapshot(tel)
-        assert snap["gauges"][names.GAUGE_SWEEP_STEALS] >= 1
         assert names.GAUGE_POOL_WORKERS_WARM in snap["gauges"]
         assert snap["gauges"][names.GAUGE_POOL_ARENA_BYTES] > 0
 
@@ -244,7 +259,9 @@ class TestWarmth:
             second = run_sweep(
                 [SweepUnit(f"q/{i}", functools.partial(_pid, ))
                  for i in range(4)], jobs=2)
-        assert warm_after_first >= 1
+        # each idle worker gets a task, so the first sweep ran on both
+        assert len(set(first.values_strict())) == 2
+        assert warm_after_first == 2
         # same processes served both sweeps: warm means *reused*
         assert set(second.values_strict()) <= set(first.values_strict())
 
@@ -294,16 +311,22 @@ class TestArenaLifecycle:
         _assert_torn_down(pool, procs)
 
     def test_no_leaked_shm_after_sigkill(self):
-        pool = get_pool(2)
-        procs = _processes(pool)
-        os.kill(pool._workers[0].proc.pid, signal.SIGKILL)
-        pool._workers[0].proc.join(5.0)
-        with use_pool(pool):
-            result = run_sweep(_units(4), jobs=2)
-        assert result.values_strict() == [0, 1, 2, 3]
-        procs += _processes(pool)
-        shutdown_pool()
-        _assert_torn_down(pool, procs)
+        # Workers killed while idle, between sweeps, are replaced when
+        # the next sweep dispatches to them, and no unit is charged.
+        for jobs in (1, 2):
+            pool = get_pool(jobs)
+            procs = _processes(pool)
+            for proc in procs:
+                os.kill(proc.pid, signal.SIGKILL)
+                proc.join(5.0)
+            result = _sweep_within(30.0, pool, _units(3), jobs)
+            assert result.values_strict() == [0, 1, 2]
+            assert [o.attempts for o in result.outcomes] == [1, 1, 1]
+            assert pool.jobs == jobs
+            assert all(p.is_alive() for p in _processes(pool))
+            procs += _processes(pool)
+            shutdown_pool()
+            _assert_torn_down(pool, procs)
 
     def test_abort_harvests_and_unlinks(self, tmp_path, caplog):
         pool = WorkerPool(2)
