@@ -8,6 +8,8 @@ paper's distribution claims:
   BinFPE;
 - the GT phase resolves the hanging cases of the w/o-GT phase on
   exception-heavy programs (deduplication avoids channel congestion).
+
+``results/figure4.txt`` is written by ``scripts/regenerate_all.py``.
 """
 
 from __future__ import annotations
@@ -24,13 +26,11 @@ def fig4(programs):
 
 
 @pytest.mark.benchmark(group="figure4")
-def test_figure4_distribution(benchmark, programs, results_dir):
+def test_figure4_distribution(benchmark, programs):
     data = benchmark.pedantic(
         lambda: figure4(programs, jobs=bench_jobs()),
         rounds=1, iterations=1)
-    text = data.render()
-    print("\n" + text)
-    save_artifact(results_dir, "figure4.txt", text)
+    print("\n" + data.render())
 
     fpx_under_10 = fraction_below(data.fpx, 10.0)
     binfpe_under_10 = fraction_below(data.binfpe, 10.0)

@@ -9,6 +9,9 @@ Asserts the paper's Figure 5 claims:
   allocation makes GPU-FPX a net loss on nearly-FP-free programs;
 - the abstract's 16x / §4.4's 12x geometric-mean speedup (we assert the
   12-17x band).
+
+``results/figure5.txt`` and ``results/figure5_points.tsv`` are written
+by ``scripts/regenerate_all.py``.
 """
 
 from __future__ import annotations
@@ -16,24 +19,18 @@ from __future__ import annotations
 import pytest
 
 from repro.harness import figure5
-from conftest import bench_jobs, save_artifact
+from conftest import bench_jobs
 
 PAPER_OUTLIERS = {"simpleAWBarrier", "reductionMultiBlockCG",
                   "conjugateGradientMultiBlockCG"}
 
 
 @pytest.mark.benchmark(group="figure5")
-def test_figure5_scatter(benchmark, programs, results_dir):
+def test_figure5_scatter(benchmark, programs):
     data = benchmark.pedantic(
         lambda: figure5(programs, jobs=bench_jobs()),
         rounds=1, iterations=1)
-    text = data.render()
-    print("\n" + text)
-    points = "\n".join(f"{name}\t{fpx:.3f}\t{binfpe:.3f}"
-                       for name, fpx, binfpe in data.points())
-    save_artifact(results_dir, "figure5.txt", text)
-    save_artifact(results_dir, "figure5_points.tsv",
-                  "program\tfpx_slowdown\tbinfpe_slowdown\n" + points)
+    print("\n" + data.render())
 
     assert data.programs_100x_faster == 49, \
         "paper: 49 programs two orders of magnitude faster"

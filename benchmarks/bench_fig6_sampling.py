@@ -8,6 +8,8 @@ asserting:
 - total detected exceptions decrease only slightly (the red line);
 - the CuMF-Movielens anecdote: an order-of-magnitude time reduction at
   k=256 with no exceptions lost.
+
+``results/figure6.txt`` is written by ``scripts/regenerate_all.py``.
 """
 
 from __future__ import annotations
@@ -16,23 +18,18 @@ import pytest
 
 from repro.fpx import DetectorConfig
 from repro.harness import figure6, run_baseline, run_detector
+from repro.harness.figures import FIGURE6_FACTORS, FIGURE6_PROGRAMS
 from repro.workloads import program_by_name
 from conftest import save_artifact
 
-SWEEP_PROGRAMS = ["CuMF-Movielens", "SRU-Example", "myocyte", "backprop",
-                  "concurrentKernels", "simpleStreams", "Laghos",
-                  "Sw4lite (64)"]
-FACTORS = (0, 4, 16, 64, 256)
-
 
 @pytest.mark.benchmark(group="figure6")
-def test_figure6_sweep(benchmark, results_dir):
-    progs = [program_by_name(n) for n in SWEEP_PROGRAMS]
+def test_figure6_sweep(benchmark):
+    progs = [program_by_name(n) for n in FIGURE6_PROGRAMS]
     data = benchmark.pedantic(
-        lambda: figure6(progs, factors=FACTORS), rounds=1, iterations=1)
-    text = data.render()
-    print("\n" + text)
-    save_artifact(results_dir, "figure6.txt", text)
+        lambda: figure6(progs, factors=FIGURE6_FACTORS), rounds=1,
+        iterations=1)
+    print("\n" + data.render())
 
     s = data.geomean_slowdowns
     assert all(s[i] >= s[i + 1] * 0.999 for i in range(len(s) - 1)), \

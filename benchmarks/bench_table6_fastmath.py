@@ -7,6 +7,8 @@ halves, asserting exact agreement and the §4.4 observations:
 - myocyte gains six DIV0s right where eight subnormals disappeared
   (flushed values reaching fast divisions);
 - myocyte's FP64 subnormals go 2 -> 4 (FMA contraction residuals).
+
+``results/table6.txt`` is written by ``scripts/regenerate_all.py``.
 """
 
 from __future__ import annotations
@@ -21,15 +23,13 @@ from conftest import save_artifact
 
 
 @pytest.mark.benchmark(group="table6")
-def test_table6_fastmath(benchmark, results_dir):
+def test_table6_fastmath(benchmark):
     programs = [program_by_name(n) for n in TABLE6_FASTMATH]
     result = benchmark.pedantic(lambda: table6(programs), rounds=1,
                                 iterations=1)
     # the x-rows of Table 6 are the Table 4 rows for the same programs
     precise = table4(programs)
-    text = precise.render() + "\n\n" + result.render()
-    print("\n" + text)
-    save_artifact(results_dir, "table6.txt", text)
+    print("\n" + precise.render() + "\n\n" + result.render())
     assert precise.all_match, precise.mismatches
     assert result.all_match, result.mismatches
 

@@ -1,10 +1,13 @@
 """Shared fixtures for the per-table/figure benchmark harness.
 
-Each benchmark regenerates one paper artifact, asserts its headline
-claims, and writes the rendered table/figure data under ``results/`` so
-EXPERIMENTS.md can be checked against fresh runs.  Quick mode
-(``BENCH_QUICK=1``) runs and asserts the same way but writes nothing:
-its shrunken runs are not the committed artifacts.
+Each benchmark regenerates one paper artifact and asserts its headline
+claims.  The table and figure renders under ``results/`` have one
+writer, ``scripts/regenerate_all.py`` (its ``--check`` diffs them); the
+benchmarks write only their side artifacts there (``table4_summary.txt``,
+``figure6_movielens.txt``, ...), so EXPERIMENTS.md can be checked
+against fresh runs.  Quick mode (``BENCH_QUICK=1``) runs and asserts
+the same way but writes nothing: its shrunken runs are not the
+committed artifacts.
 """
 
 from __future__ import annotations

@@ -1,12 +1,17 @@
 #!/usr/bin/env python3
-"""Regenerate the full evaluation and write results/experiments.json.
+"""Regenerate the full evaluation under results/.
 
 Usage:  python scripts/regenerate_all.py [--jobs N] [--check]
 
+Writes ``results/experiments.json`` and the text artifacts that render
+the same records: ``table4.txt`` to ``table7.txt``, ``figure4.txt``,
+``figure5.txt``, ``figure5_points.tsv`` and ``figure6.txt``.
 ``--jobs N`` shards the sweeps across N worker processes (default: all
 cores); the output is identical to a serial run.  ``--check`` recomputes
-the evaluation and compares it with the committed file instead of
-writing it: it exits 1 and names every key that differs.
+the evaluation and compares it with the committed files instead of
+writing them: it exits 1, names every key of ``experiments.json`` that
+differs, and names every text file that differs with its first
+differing line.
 """
 
 import argparse
@@ -39,6 +44,15 @@ def diff_keys(old, new, path: str = ""):
         yield path or "<root>"
 
 
+def first_difference(old: str, new: str) -> tuple[int, str, str]:
+    """1-based number of the first differing line, and both lines."""
+    a, b = old.splitlines(), new.splitlines()
+    i = next((i for i, (x, y) in enumerate(zip(a, b)) if x != y),
+             min(len(a), len(b)))
+    end = "<end of file>"
+    return i + 1, a[i] if i < len(a) else end, b[i] if i < len(b) else end
+
+
 def main() -> int:
     parser = argparse.ArgumentParser()
     parser.add_argument("--jobs", type=int, default=default_jobs(),
@@ -49,7 +63,7 @@ def main() -> int:
                              "of writing it; exit 1 on any difference")
     args = parser.parse_args()
     t0 = time.time()
-    evaluation = run_full_evaluation(jobs=args.jobs)
+    evaluation, texts = run_full_evaluation(jobs=args.jobs)
     results = pathlib.Path(__file__).resolve().parent.parent / "results"
     out = results / "experiments.json"
     stale = False
@@ -64,12 +78,25 @@ def main() -> int:
                   f"value(s):")
             for key in keys:
                 print(f"  {key}")
-        else:
-            print(f"{out} matches the code ({time.time() - t0:.1f}s)")
+        for name, text in texts.items():
+            path = results / name
+            committed = path.read_text() if path.exists() else ""
+            if text != committed:
+                stale = True
+                line, was, now = first_difference(committed, text)
+                print(f"{path} differs from the code at line {line}:")
+                print(f"  committed: {was}")
+                print(f"  code:      {now}")
+        if not stale:
+            print(f"{out} and {len(texts)} text artifacts match the code "
+                  f"({time.time() - t0:.1f}s)")
     else:
         results.mkdir(exist_ok=True)
         evaluation_to_json(evaluation, out)
-        print(f"wrote {out} in {time.time() - t0:.1f}s")
+        for name, text in texts.items():
+            (results / name).write_text(text)
+        print(f"wrote {out} and {len(texts)} text artifacts in "
+              f"{time.time() - t0:.1f}s")
     failed = [c for c in evaluation["claims"] if not c["pass"]]
     for claim in evaluation["claims"]:
         mark = "PASS" if claim["pass"] else "FAIL"

@@ -348,71 +348,49 @@ def _cmd_profile_hotspots(args) -> int:
     return 0
 
 
-def _report_sweep_error(exc) -> int:
-    log.error("%s", exc)
-    return 1
+def _print_artifact(args, make) -> int:
+    """Print ``make()``'s render under the shared telemetry flags."""
+    from .harness.parallel import SweepError
+    _, scope = _telemetry_scope(args)
+    with scope as tel:
+        try:
+            print(make().render())
+        except SweepError as exc:
+            log.error("%s", exc)
+            return 1
+    _export_telemetry(args, tel)
+    if args.metrics:
+        _print_metrics(tel)
+    return 0
 
 
 def cmd_table(args) -> int:
-    from .harness.parallel import SweepError
     from .harness.tables import table4, table5, table6, table7
     from .workloads import EXCEPTION_PROGRAMS, exception_programs
     n, jobs = args.number, args.jobs
-    knobs = dict(warp_batch=not args.no_warp_batch)
-    _, scope = _telemetry_scope(args)
-    with scope as tel:
-        try:
-            if n == 4:
-                print(table4(exception_programs(), jobs=jobs,
-                             **knobs).render())
-            elif n == 5:
-                print(table5(exception_programs(), jobs=jobs,
-                             **knobs).render())
-            elif n == 6:
-                print(table6(exception_programs(), jobs=jobs,
-                             **knobs).render())
-            elif n == 7:
-                programs = {p.name: p
-                            for p in EXCEPTION_PROGRAMS.values()}
-                print(table7(programs, jobs=jobs).render())
-            else:
-                log.error("tables: 4, 5, 6 or 7")
-                return 2
-        except SweepError as exc:
-            return _report_sweep_error(exc)
-    _export_telemetry(args, tel)
-    if args.metrics:
-        _print_metrics(tel)
-    return 0
+    if n == 7:
+        return _print_artifact(args, lambda: table7(
+            {p.name: p for p in EXCEPTION_PROGRAMS.values()}, jobs=jobs))
+    table = {4: table4, 5: table5, 6: table6}.get(n)
+    if table is None:
+        log.error("tables: 4, 5, 6 or 7")
+        return 2
+    return _print_artifact(args, lambda: table(
+        exception_programs(), jobs=jobs, warp_batch=not args.no_warp_batch))
 
 
 def cmd_figure(args) -> int:
-    from .harness.figures import figure4, figure5, figure6
-    from .harness.parallel import SweepError
+    from .harness.figures import FIGURE6_PROGRAMS, figure4, figure5, \
+        figure6
     from .workloads import all_programs, program_by_name
-    n, jobs = args.number, args.jobs
-    knobs = dict(warp_batch=not args.no_warp_batch)
-    _, scope = _telemetry_scope(args)
-    with scope as tel:
-        try:
-            if n == 4:
-                print(figure4(all_programs(), jobs=jobs, **knobs).render())
-            elif n == 5:
-                print(figure5(all_programs(), jobs=jobs, **knobs).render())
-            elif n == 6:
-                progs = [program_by_name(p) for p in
-                         ("CuMF-Movielens", "SRU-Example", "myocyte",
-                          "backprop")]
-                print(figure6(progs, jobs=jobs, **knobs).render())
-            else:
-                log.error("figures: 4, 5 or 6")
-                return 2
-        except SweepError as exc:
-            return _report_sweep_error(exc)
-    _export_telemetry(args, tel)
-    if args.metrics:
-        _print_metrics(tel)
-    return 0
+    figure = {4: figure4, 5: figure5, 6: figure6}.get(args.number)
+    if figure is None:
+        log.error("figures: 4, 5 or 6")
+        return 2
+    programs = [program_by_name(p) for p in FIGURE6_PROGRAMS] \
+        if figure is figure6 else all_programs()
+    return _print_artifact(args, lambda: figure(
+        programs, jobs=args.jobs, warp_batch=not args.no_warp_batch))
 
 
 def cmd_telemetry_summarize(args) -> int:

@@ -31,8 +31,9 @@ from .runner import (
     BuiltProgram,
     ProgramSlowdowns,
     build_program,
+    evaluate,
+    evaluate_many,
     measure_slowdowns,
-    measure_slowdowns_many,
     measured_counts,
     run_analyzer,
     run_baseline,
@@ -55,7 +56,7 @@ __all__ = [
     "PoolStats", "WorkerPool", "get_pool", "install_pool",
     "installed_pool", "shutdown_pool", "uninstall_pool", "use_pool",
     "BuiltProgram", "ProgramSlowdowns", "build_program",
-    "measure_slowdowns", "measure_slowdowns_many", "measured_counts",
+    "evaluate", "evaluate_many", "measure_slowdowns", "measured_counts",
     "registry_key",
     "run_analyzer", "run_baseline", "run_binfpe", "run_detector",
     "BUCKETS", "bucket_label", "fraction_below", "geomean",

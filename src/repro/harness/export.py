@@ -1,37 +1,37 @@
 """Machine-readable export of the full evaluation (paper vs measured).
 
-``run_full_evaluation`` regenerates every table and figure and returns a
-JSON-serialisable dictionary; ``scripts/regenerate_all.py`` writes it to
-``results/experiments.json``.  This is the artifact-evaluation surface: a
-single document with every claim, its paper value, the measured value,
-and a pass/fail verdict.
+``run_full_evaluation`` regenerates every table and figure from one
+session per (program, build) and returns a JSON-serialisable dictionary
+plus the text renders of the same records;
+``scripts/regenerate_all.py`` writes them to ``results/`` (the
+dictionary as ``experiments.json``).  This is the artifact-evaluation
+surface: a single document with every claim, its paper value, the
+measured value, and a pass/fail verdict.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import asdict
 from typing import Any
 
 from ..workloads import (
     EXCEPTION_PROGRAMS,
-    TABLE4,
-    TABLE5_K64,
     TABLE6_FASTMATH,
     TABLE7,
     all_programs,
     exception_programs,
     program_by_name,
 )
-from .figures import Figure4Data, Figure5Data, figure6
-from .runner import measure_slowdowns_many
+from .figures import FIGURE6_FACTORS, FIGURE6_PROGRAMS, Figure4Data, \
+    Figure5Data, figure6_plan, slowdowns_plan
+from .runner import run_plans
 from .stats import fraction_below
-from .tables import table4, table5, table6, table7
+from .tables import table4_plan, table5_plan, table6_plan, table7
 
 __all__ = ["run_full_evaluation", "evaluation_to_json", "claims_summary"]
 
 
-def _table_section(result, expected: dict) -> dict[str, Any]:
+def _table_section(result) -> dict[str, Any]:
     return {
         "all_match": result.all_match,
         "rows": [
@@ -42,69 +42,83 @@ def _table_section(result, expected: dict) -> dict[str, Any]:
     }
 
 
-def run_full_evaluation(*, figure6_programs: tuple[str, ...] = (
-        "CuMF-Movielens", "SRU-Example", "myocyte", "backprop",
-        "concurrentKernels", "simpleStreams", "Laghos", "Sw4lite (64)"),
-        jobs: int | None = 1,
-) -> dict[str, Any]:
-    """Regenerate everything; returns the JSON-ready evaluation dict.
+def run_full_evaluation(*, jobs: int | None = 1
+                        ) -> tuple[dict[str, Any], dict[str, str]]:
+    """Regenerate everything: the JSON-ready evaluation dict, and the
+    text artifacts that render the same records, by file name.
 
-    ``jobs`` shards every table/figure sweep across worker processes
-    (``1`` = serial; results are identical either way).
+    Tables 4-6 and Figures 4-6 share one session per (program, build):
+    every program's precise build carries the Figure 4/5 observers plus
+    whatever Tables 4-5 and Figure 6 read, and Table 6 adds one
+    fast-math session per program.  ``jobs`` shards the sweeps across
+    worker processes (``1`` = serial; results are identical either way).
     """
     programs = all_programs()
     exc = exception_programs()
-
-    out: dict[str, Any] = {"programs": len(programs)}
-
-    out["table4"] = _table_section(table4(exc, jobs=jobs), TABLE4)
-    out["table5"] = _table_section(table5(exc, jobs=jobs), TABLE5_K64)
-    out["table6"] = _table_section(table6(exc, jobs=jobs), TABLE6_FASTMATH)
-
+    # Figure 4/5's plan comes first, so units run in registry order.
+    slowdowns, t4, t5, t6, t6_precise, fig6 = run_plans(
+        slowdowns_plan(programs), table4_plan(exc), table5_plan(exc),
+        table6_plan(exc),
+        table4_plan([p for p in exc if p.name in TABLE6_FASTMATH]),
+        figure6_plan([program_by_name(n) for n in FIGURE6_PROGRAMS],
+                     FIGURE6_FACTORS),
+        jobs=jobs)
     t7 = table7({p.name: p for p in EXCEPTION_PROGRAMS.values()},
                 jobs=jobs)
-    out["table7"] = {
-        "rows": [
-            {"program": d.program, "measured": d.row(),
-             "paper": TABLE7[d.program],
-             "match": d.row() == TABLE7[d.program],
-             "notes": d.notes}
-            for d in t7.diagnoses
-        ],
-        "all_match": all(d.row() == TABLE7[d.program]
-                         for d in t7.diagnoses),
-    }
+    fig4, fig5 = Figure4Data(slowdowns), Figure5Data(slowdowns)
 
-    # Figures 4 and 5 plot the same per-program measurements: one sweep.
-    slowdowns = measure_slowdowns_many(programs, jobs=jobs)
-    fig4 = Figure4Data(slowdowns)
-    out["figure4"] = {
-        "histograms": fig4.histograms(),
-        "fpx_under_10x": fraction_below(fig4.fpx, 10.0),
-        "binfpe_under_10x": fraction_below(fig4.binfpe, 10.0),
+    out: dict[str, Any] = {
+        "programs": len(programs),
+        "table4": _table_section(t4),
+        "table5": _table_section(t5),
+        "table6": _table_section(t6),
+        "table7": {
+            "rows": [
+                {"program": d.program, "measured": d.row(),
+                 "paper": TABLE7[d.program],
+                 "match": d.row() == TABLE7[d.program],
+                 "notes": d.notes}
+                for d in t7.diagnoses
+            ],
+            "all_match": all(d.row() == TABLE7[d.program]
+                             for d in t7.diagnoses),
+        },
+        "figure4": {
+            "histograms": fig4.histograms(),
+            "fpx_under_10x": fraction_below(fig4.fpx, 10.0),
+            "binfpe_under_10x": fraction_below(fig4.binfpe, 10.0),
+        },
+        "figure5": {
+            "geomean_speedup": fig5.geomean_speedup,
+            "programs_100x_faster": fig5.programs_100x_faster,
+            "programs_1000x_faster": fig5.programs_1000x_faster,
+            "below_diagonal": fig5.below_diagonal(),
+            "hangs_resolved": fig5.hangs_resolved(),
+            "points": [{"program": n, "fpx": f, "binfpe": b}
+                       for n, f, b in fig5.points()],
+        },
+        "figure6": {
+            "factors": fig6.factors,
+            "geomean_slowdowns": fig6.geomean_slowdowns,
+            "total_exceptions": fig6.total_exceptions,
+        },
     }
-
-    fig5 = Figure5Data(slowdowns)
-    out["figure5"] = {
-        "geomean_speedup": fig5.geomean_speedup,
-        "programs_100x_faster": fig5.programs_100x_faster,
-        "programs_1000x_faster": fig5.programs_1000x_faster,
-        "below_diagonal": fig5.below_diagonal(),
-        "hangs_resolved": fig5.hangs_resolved(),
-        "points": [{"program": n, "fpx": f, "binfpe": b}
-                   for n, f, b in fig5.points()],
-    }
-
-    fig6 = figure6([program_by_name(n) for n in figure6_programs],
-                   jobs=jobs)
-    out["figure6"] = {
-        "factors": fig6.factors,
-        "geomean_slowdowns": fig6.geomean_slowdowns,
-        "total_exceptions": fig6.total_exceptions,
-    }
-
     out["claims"] = claims_summary(out)
-    return out
+
+    points = "".join(f"\n{n}\t{f:.3f}\t{b:.3f}" for n, f, b in fig5.points())
+    texts = {
+        "table4.txt": t4.render(),
+        "table5.txt": t5.render(),
+        # Table 6's precise rows are Table 4's for the same programs.
+        "table6.txt": t6_precise.render() + "\n\n" + t6.render(),
+        "table7.txt": t7.render(),
+        "figure4.txt": fig4.render(),
+        "figure5.txt": fig5.render(),
+        "figure5_points.tsv": "program\tfpx_slowdown\tbinfpe_slowdown"
+                              + points,
+        "figure6.txt": fig6.render(),
+    }
+    return out, {name: text + "\n" for name, text in texts.items()}
 
 
 def claims_summary(evaluation: dict[str, Any]) -> list[dict[str, Any]]:

@@ -1,29 +1,35 @@
 """Data generators for the paper's figures (4, 5 and 6).
 
-Each generator takes ``jobs``: ``1`` (default) runs in-process
-serially, ``N > 1`` shards the per-program runs across worker processes via
-:mod:`repro.harness.parallel` and reduces in program order, so renders
-are byte-identical across job counts.
+Each figure is a plan: the :func:`~repro.harness.runner.evaluate_many`
+requests it needs and a pure function from their records to its data,
+so :func:`~repro.harness.export.run_full_evaluation` runs one session
+per program for all of them.  Each generator takes ``jobs``: ``1``
+(default) runs in-process serially, ``N > 1`` shards the per-program
+runs across worker processes via :mod:`repro.harness.parallel` and
+reduces in program order, so renders are byte-identical across job
+counts.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..compiler import CompileOptions
 from ..fpx import DetectorConfig
-from ..gpu.cost import CostModel
 from ..workloads.base import Program
-from .runner import (
-    ProgramSlowdowns,
-    measure_slowdowns_many,
-    run_detector,
-)
+from .runner import FIG45, ProgramSlowdowns, _slowdowns, run_plans
 from .stats import BUCKETS, bucket_label, fraction_below, geomean, \
     histogram_buckets
 
-__all__ = ["Figure4Data", "figure4", "Figure5Data", "figure5",
-           "Figure6Data", "figure6", "InputSweepData", "input_sweep"]
+__all__ = ["slowdowns_plan", "Figure4Data", "figure4", "Figure5Data",
+           "figure5", "FIGURE6_PROGRAMS", "FIGURE6_FACTORS", "Figure6Data",
+           "figure6_plan", "figure6"]
+
+#: The paper's Figure 6 set: repeated-kernel programs plus the Table 5
+#: transient programs, where JIT-per-launch matters.
+FIGURE6_PROGRAMS = ("CuMF-Movielens", "SRU-Example", "myocyte", "backprop",
+                    "concurrentKernels", "simpleStreams", "Laghos",
+                    "Sw4lite (64)")
+FIGURE6_FACTORS = (0, 4, 16, 64, 256)
 
 
 @dataclass
@@ -71,12 +77,17 @@ class Figure4Data:
         return "\n".join(lines)
 
 
-def figure4(programs: list[Program], *, cost: CostModel | None = None,
-            warp_batch: bool = True,
+def slowdowns_plan(programs: list[Program]):
+    """Figures 4 and 5 plot the same measurements: one
+    :data:`~repro.harness.runner.FIG45` session per program."""
+    return [(p, None, FIG45) for p in programs], lambda records: [
+        _slowdowns(p, r) for p, r in zip(programs, records)]
+
+
+def figure4(programs: list[Program], *, warp_batch: bool = True,
             jobs: int | None = 1) -> Figure4Data:
-    return Figure4Data(measure_slowdowns_many(programs, cost=cost,
-                                              warp_batch=warp_batch,
-                                              jobs=jobs))
+    return Figure4Data(run_plans(slowdowns_plan(programs),
+                                 warp_batch=warp_batch, jobs=jobs)[0])
 
 
 @dataclass
@@ -132,27 +143,10 @@ class Figure5Data:
         return "\n".join(lines)
 
 
-def figure5(programs: list[Program], *, cost: CostModel | None = None,
-            warp_batch: bool = True,
+def figure5(programs: list[Program], *, warp_batch: bool = True,
             jobs: int | None = 1) -> Figure5Data:
-    return Figure5Data(measure_slowdowns_many(programs, cost=cost,
-                                              warp_batch=warp_batch,
-                                              jobs=jobs))
-
-
-def _figure6_base_unit(program: Program, options, cost, warp_batch: bool):
-    """Module-level (picklable) baseline cell of the Figure 6 grid."""
-    from .runner import run_baseline
-    return run_baseline(program, options=options, cost=cost,
-                        warp_batch=warp_batch)
-
-
-def _figure6_cell_unit(program: Program, k: int, options, cost,
-                       warp_batch: bool):
-    """Module-level (picklable) detector cell of the Figure 6 grid."""
-    return run_detector(program, options=options, cost=cost,
-                        warp_batch=warp_batch,
-                        config=DetectorConfig(freq_redn_factor=k))
+    return Figure5Data(run_plans(slowdowns_plan(programs),
+                                 warp_batch=warp_batch, jobs=jobs)[0])
 
 
 @dataclass
@@ -174,10 +168,24 @@ class Figure6Data:
         return "\n".join(lines)
 
 
+def figure6_plan(programs: list[Program], factors: tuple[int, ...]):
+    """The baseline and one detector per factor, in one session per
+    program; ``k = 0`` (undersampling off) is the GT detector."""
+    configs = [DetectorConfig(freq_redn_factor=k) for k in factors]
+
+    def finish(records: list[dict]) -> Figure6Data:
+        data = Figure6Data(list(factors))
+        for config in configs:
+            data.geomean_slowdowns.append(geomean(
+                [r[config].stats.slowdown(r[None].stats) for r in records]))
+            data.total_exceptions.append(
+                sum(r[config].report.total() for r in records))
+        return data
+    return [(p, None, (None, *configs)) for p in programs], finish
+
+
 def figure6(programs: list[Program], *,
-            factors: tuple[int, ...] = (0, 4, 16, 64, 256),
-            options: CompileOptions | None = None,
-            cost: CostModel | None = None,
+            factors: tuple[int, ...] = FIGURE6_FACTORS,
             warp_batch: bool = True,
             jobs: int | None = 1) -> Figure6Data:
     """Sweep the undersampling factor over a program set.
@@ -185,84 +193,6 @@ def figure6(programs: list[Program], *,
     ``k = 0`` disables undersampling (every invocation instrumented).
     The slowdown bars fall as k grows (JIT amortised) while the exception
     line dips only slightly (invocation-transient sites are missed).
-    The (program, k) grid is one flat sweep: baselines first, then every
-    detector cell, reduced in (k, program) order.
     """
-    import functools
-
-    from .parallel import SweepUnit, run_sweep
-
-    units = [SweepUnit(f"figure6/base/{p.name}", functools.partial(
-        _figure6_base_unit, p, options, cost, warp_batch))
-        for p in programs]
-    units += [SweepUnit(f"figure6/k{k}/{p.name}", functools.partial(
-        _figure6_cell_unit, p, k, options, cost, warp_batch))
-        for k in factors for p in programs]
-    values = run_sweep(units, jobs=jobs).values_strict()
-    baselines = dict(zip((p.name for p in programs), values))
-
-    data = Figure6Data(list(factors))
-    cells = iter(values[len(programs):])
-    for k in factors:
-        slowdowns = []
-        exceptions = 0
-        for p in programs:
-            report, stats = next(cells)
-            slowdowns.append(stats.slowdown(baselines[p.name]))
-            exceptions += report.total()
-        data.geomean_slowdowns.append(geomean(slowdowns))
-        data.total_exceptions.append(exceptions)
-    return data
-
-
-@dataclass
-class InputSweepData:
-    """Input-space sampling sweep (the paper's §6 direction): how many
-    sampled inputs trigger exceptions, and which table cells they hit."""
-
-    probes: int
-    deduped: int
-    triggering: int
-    #: cell name -> number of triggering inputs exhibiting it
-    cells: dict[str, int] = field(default_factory=dict)
-
-    def render(self) -> str:
-        lines = [f"Input sweep — {self.probes} sampled inputs "
-                 f"({self.deduped} duplicates skipped), "
-                 f"{self.triggering} triggering",
-                 f"{'cell':>12} | {'triggering inputs':>17}"]
-        for cell in sorted(self.cells):
-            lines.append(f"{cell:>12} | {self.cells[cell]:>17}")
-        return "\n".join(lines)
-
-
-def input_sweep(compiled, ranges, *,
-                fixed_params: dict | None = None,
-                samples: int = 64, seed: int = 0,
-                megabatch: bool = True) -> InputSweepData:
-    """Sample a kernel's scalar-input space under the detector.
-
-    The exploration candidates run as ONE launch-batched pass
-    (:meth:`~repro.api.Session.run_batch` via
-    :meth:`~repro.fpx.stress.InputStressTester.probe_many`) instead of
-    N serial probe launches; ``megabatch=False`` keeps the serial
-    member loop for A/B runs.  Unlike
-    :meth:`~repro.fpx.stress.InputStressTester.run` there is no
-    exploitation phase — this is the flat sampling figure.
-    """
-    from ..fpx.stress import InputStressTester
-
-    tester = InputStressTester(compiled, ranges,
-                               fixed_params=fixed_params, seed=seed,
-                               megabatch=megabatch)
-    candidates, deduped = tester.explore(samples)
-    cells: dict[str, int] = {}
-    triggering = 0
-    for trigger in tester.probe_many(candidates):
-        if trigger is None:
-            continue
-        triggering += 1
-        for cell in trigger.records:
-            cells[cell] = cells.get(cell, 0) + 1
-    return InputSweepData(probes=len(candidates), deduped=deduped,
-                          triggering=triggering, cells=cells)
+    return run_plans(figure6_plan(programs, factors), warp_batch=warp_batch,
+                     jobs=jobs)[0]

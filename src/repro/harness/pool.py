@@ -20,9 +20,9 @@ evaluation pay process startup once and reuse every decoded kernel:
   and nothing else: the remaining units run on the others.
 - **failure contract.**  Per-unit deadlines kill and respawn the worker
   (fresh spill file); crashes are attributed to the running unit with
-  the flight-recorder spill tailed into diagnostics.  A task whose
-  worker died before starting it, and a worker that died idle, cost no
-  retry: the task is requeued and the worker replaced.
+  the flight-recorder spill tailed into diagnostics.  A worker that
+  died idle costs no retry, nor does the first death of a worker before
+  it started its task: the task is requeued and the worker replaced.
 
 Tasks must be *picklable* (module-level functions / ``functools.partial``
 over plain data and registered programs) —
@@ -319,6 +319,8 @@ class WorkerPool:
         self.busy = False
         self.sweeps = 0
         self._payload_bytes = 0
+        #: (sweep, task) pairs whose worker died before starting them.
+        self._died_unstarted: set[tuple[int, int]] = set()
         self.ensure_workers(jobs)
 
     # -- sizing ------------------------------------------------------------
@@ -476,11 +478,20 @@ class WorkerPool:
         self._replace(w)
         if w.task is None:
             return
-        if not w.started:  # it never ran: requeue without a retry
-            pending.appendleft(w.task)
-        elif collector.attempt_failed(
+        if not w.started:
+            # It never ran: requeue it once without a retry.  The worker
+            # decodes a task before starting it, so a task whose
+            # unpickling kills the worker dies here every time; from its
+            # second such death on, each one is charged as a crash.
+            if (self.sweeps, w.task) not in self._died_unstarted:
+                self._died_unstarted.add((self.sweeps, w.task))
+                pending.appendleft(w.task)
+                return
+            collector.begin_attempt(w.task)
+        where = "mid-unit" if w.started else "before starting the unit"
+        if collector.attempt_failed(
                 w.task, _FAIL_CRASH,
-                f"worker process died mid-unit (exit code {code})",
+                f"worker process died {where} (exit code {code})",
                 flight=flight):
             pending.append(w.task)
 

@@ -6,20 +6,21 @@ device so the build can be reused (:meth:`BuiltProgram.fresh` restores
 it).  Build work is visible as ``harness.build`` spans plus the
 ``harness.build.cache.{hit,miss}`` counters (a hit is a run that reused
 an existing build).  Where one program runs under several
-configurations — :func:`measure_slowdowns`' four, or
-:func:`run_workload`'s baseline and tool — one session observes a
-single execution with every configuration at once
-(:class:`repro.api.Session` with a list of tools).
+configurations — :func:`evaluate`'s observers, or :func:`run_workload`'s
+baseline and tool — one session observes a single execution with every
+configuration at once (:class:`repro.api.Session` with a list of tools).
 
-:func:`measure_slowdowns_many` is the batch API: it runs the Figure-4/5
-measurement over a program set, optionally fanned out across worker
-processes by :mod:`repro.harness.parallel` (``jobs > 1``), with results
-and telemetry reduced deterministically in program order.
+:func:`evaluate_many` is the batch API behind every table and figure:
+one sweep unit per (program, build), whose session observes the union
+of the observers its requests ask for, optionally fanned out across
+worker processes by :mod:`repro.harness.parallel` (``jobs > 1``), with
+results and telemetry reduced deterministically in request order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from ..binfpe import BinFPE
 from ..compiler import CompileOptions
@@ -45,6 +46,7 @@ from ..telemetry.names import (
     SPAN_RUN_DETECTOR,
 )
 from ..workloads.base import Program
+from ..workloads.registry import registry_key
 
 __all__ = [
     "BuiltProgram",
@@ -59,7 +61,11 @@ __all__ = [
     "measured_counts",
     "ProgramSlowdowns",
     "measure_slowdowns",
-    "measure_slowdowns_many",
+    "FIG45",
+    "Observed",
+    "evaluate",
+    "evaluate_many",
+    "run_plans",
 ]
 
 
@@ -340,6 +346,94 @@ class ProgramSlowdowns:
         return self.binfpe_slowdown / self.fpx_slowdown
 
 
+#: The Figure 4/5 observers: the baseline, BinFPE, and GPU-FPX without
+#: and with the GT table.  An observer key is ``None`` (the baseline),
+#: ``"binfpe"`` or a :class:`DetectorConfig`; equal keys are one observer.
+FIG45 = (None, "binfpe", DetectorConfig(use_gt=False), DetectorConfig())
+
+
+class Observed(NamedTuple):
+    """One observer's share of an evaluated run."""
+
+    stats: RunStats
+    report: ExceptionReport | None  # ``None`` for the baseline
+
+
+def evaluate(program: Program, observers, *,
+             options: CompileOptions | None = None,
+             cost: CostModel | None = None,
+             warp_batch: bool = True,
+             built: BuiltProgram | None = None) -> dict:
+    """Build ``program`` once and run its schedule in one session
+    observed by every key in ``observers``; returns ``{key: Observed}``.
+    """
+    keys = list(dict.fromkeys(observers))
+    built = _built_for(program, built, options, cost)
+    _, session = _execute(built, [
+        k if k is None else BinFPE() if k == "binfpe" else FPXDetector(k)
+        for k in keys], warp_batch)
+    return {k: Observed(session.observer_stats(i),
+                        None if k is None else session.report(observer=i))
+            for i, k in enumerate(keys)}
+
+
+def evaluate_many(requests, *, warp_batch: bool = True,
+                  jobs: int | None = 1) -> list[dict]:
+    """:func:`evaluate` over ``(program, options, observers)`` requests.
+
+    Requests for the same (program, build) share one sweep unit, keyed
+    ``precise/<program>`` or ``fast-math/<program>``, whose session
+    observes the union of their observers; each request gets its unit's
+    record, in request order.  Units fan out across ``jobs`` worker
+    processes (``1``: in-process; ``None``: one per core) and their
+    telemetry merges in unit order, so the result does not depend on
+    ``jobs``.  A failed unit raises
+    :class:`~repro.harness.parallel.SweepError`.
+    """
+    import functools
+
+    from .parallel import SweepUnit, run_sweep
+
+    units: dict = {}  # (program identity, options) -> its unit's inputs
+    for program, options, observers in requests:
+        unit = units.setdefault((id(program), options), (program, options, {}))
+        unit[2].update(dict.fromkeys(observers))
+    sweep = [SweepUnit(
+        ("fast-math/" if options and options.is_fast_math else "precise/")
+        + (registry_key(program) or program.name),
+        functools.partial(evaluate, program, tuple(keys), options=options,
+                          warp_batch=warp_batch))
+        for program, options, keys in units.values()]
+    records = dict(zip(units, run_sweep(sweep, jobs=jobs).values_strict()))
+    return [records[id(program), options] for program, options, _ in requests]
+
+
+def run_plans(*plans, warp_batch: bool = True, jobs: int | None = 1) -> list:
+    """``finish(records)`` of each ``(requests, finish)`` plan, all from
+    one :func:`evaluate_many` over every plan's requests."""
+    records = evaluate_many([r for requests, _ in plans for r in requests],
+                            warp_batch=warp_batch, jobs=jobs)
+    out = []
+    for requests, finish in plans:
+        out.append(finish(records[:len(requests)]))
+        records = records[len(requests):]
+    return out
+
+
+def _slowdowns(program: Program, record: dict) -> ProgramSlowdowns:
+    """The Figure 4/5 measurement out of a record of the :data:`FIG45`
+    observers; accumulates the Figure-4 ``slowdown.*`` distributions
+    over whatever program set the caller sweeps."""
+    result = ProgramSlowdowns(program.name, program.suite,
+                              *(record[k].stats for k in FIG45))
+    tel = get_telemetry()
+    tel.histogram(HIST_SLOWDOWN_PREFIX + "binfpe", result.binfpe_slowdown)
+    tel.histogram(HIST_SLOWDOWN_PREFIX + "fpx_no_gt",
+                  result.fpx_no_gt_slowdown)
+    tel.histogram(HIST_SLOWDOWN_PREFIX + "fpx", result.fpx_slowdown)
+    return result
+
+
 def measure_slowdowns(program: Program, *,
                       options: CompileOptions | None = None,
                       cost: CostModel | None = None,
@@ -351,56 +445,6 @@ def measure_slowdowns(program: Program, *,
     schedule with all four configurations as observers of a single
     execution: no ``harness.build.cache.hit`` for a build made here.
     """
-    built = _built_for(program, built, options, cost)
-    _, session = _execute(built, [
-        None, BinFPE(), FPXDetector(DetectorConfig(use_gt=False)),
-        FPXDetector(DetectorConfig(use_gt=True))], warp_batch)
-    result = ProgramSlowdowns(program.name, program.suite,
-                              *(session.observer_stats(i) for i in range(4)))
-    # Figure-4 distributions, accumulated across whatever program set
-    # the caller sweeps.
-    tel = get_telemetry()
-    tel.histogram(HIST_SLOWDOWN_PREFIX + "binfpe", result.binfpe_slowdown)
-    tel.histogram(HIST_SLOWDOWN_PREFIX + "fpx_no_gt",
-                  result.fpx_no_gt_slowdown)
-    tel.histogram(HIST_SLOWDOWN_PREFIX + "fpx", result.fpx_slowdown)
-    return result
-
-
-def measure_slowdowns_many(programs: list[Program], *,
-                           options: CompileOptions | None = None,
-                           cost: CostModel | None = None,
-                           warp_batch: bool = True,
-                           jobs: int | None = 1,
-                           timeout: float | None = None,
-                           retries: int = 1,
-                           strict: bool = True
-                           ) -> list[ProgramSlowdowns | None]:
-    """:func:`measure_slowdowns` over a program set — the batch API.
-
-    One sweep unit per program, fanned out across ``jobs`` worker
-    processes (``jobs=1``: in-process serial; ``jobs=None``: one per
-    core).  Results come back in program order; worker telemetry
-    (``slowdown.*`` histograms, spans, counters) is merged into the
-    active registry in the same order, so the output is
-    indistinguishable from a serial sweep.  With ``strict`` a failed
-    unit raises :class:`~repro.harness.parallel.SweepError` naming every
-    failure; otherwise failed programs yield ``None``.
-    """
-    import functools
-
-    from .parallel import SweepUnit, run_sweep
-
-    units = [SweepUnit(f"slowdowns/{p.name}",
-                       functools.partial(_slowdowns_unit, p, options, cost,
-                                         warp_batch))
-             for p in programs]
-    result = run_sweep(units, jobs=jobs, timeout=timeout, retries=retries)
-    return result.values_strict() if strict else result.values()
-
-
-def _slowdowns_unit(program: Program, options, cost,
-                    warp_batch: bool) -> ProgramSlowdowns:
-    """Module-level (picklable) sweep unit for one program's slowdowns."""
-    return measure_slowdowns(program, options=options, cost=cost,
-                             warp_batch=warp_batch)
+    return _slowdowns(program, evaluate(
+        program, FIG45, options=options, cost=cost, warp_batch=warp_batch,
+        built=built))

@@ -1,9 +1,14 @@
 """Paper-table regenerators: Tables 4, 5, 6 and 7, paper vs measured.
 
-Each regenerator takes ``jobs``: ``1`` (default) runs serially in
-process, ``N > 1`` fans the per-program runs out across worker
-processes (:mod:`repro.harness.parallel`) and reassembles rows in
-program order, so the rendered table is byte-identical either way.
+Tables 4, 5 and 6 are plans: the
+:func:`~repro.harness.runner.evaluate_many` requests they need and a
+pure function from their records to the table, so
+:func:`~repro.harness.export.run_full_evaluation` folds them into the
+figures' sessions.  Each regenerator takes ``jobs``: ``1`` (default)
+runs serially in process, ``N > 1`` fans the per-program runs out
+across worker processes (:mod:`repro.harness.parallel`) and reassembles
+rows in program order, so the rendered table is byte-identical either
+way.
 """
 
 from __future__ import annotations
@@ -22,10 +27,10 @@ from ..workloads.paper_data import (
     zero_filled,
 )
 from ..workloads.repairs import strategy_for
-from .runner import measured_counts, run_detector
+from .runner import measured_counts, run_plans
 
-__all__ = ["TableRow", "TableResult", "table4", "table5", "table6",
-           "table7"]
+__all__ = ["TableRow", "TableResult", "table4_plan", "table4",
+           "table5_plan", "table5", "table6_plan", "table6", "table7"]
 
 _CELLS = [f"{fmt}.{kind}" for fmt in ("FP64", "FP32")
           for kind in ("NAN", "INF", "SUB", "DIV0")]
@@ -79,65 +84,58 @@ class TableResult:
         return "\n".join(lines)
 
 
-def _detector_unit(program: Program, options, config, warp_batch: bool):
-    """Module-level (picklable) sweep unit for one table row."""
-    return run_detector(program, options=options, config=config,
-                        warp_batch=warp_batch)[0]
+def _counting_plan(title: str, programs: list[Program],
+                   expected: dict[str, dict[str, int]],
+                   config: DetectorConfig,
+                   options: CompileOptions | None = None):
+    """One ``config`` detector per program, its counts as table rows."""
+    def finish(records: list[dict]) -> TableResult:
+        return TableResult(title, [
+            TableRow(program=p.name, paper=expected.get(p.name, {}),
+                     measured=measured_counts(r[config].report))
+            for p, r in zip(programs, records)])
+    return [(p, options, (config,)) for p in programs], finish
 
 
-def _counting_table(title: str, programs: list[Program],
-                    expected: dict[str, dict[str, int]], *,
-                    options: CompileOptions | None = None,
-                    config: DetectorConfig | None = None,
-                    warp_batch: bool = True,
-                    jobs: int | None = 1) -> TableResult:
-    import functools
-
-    from .parallel import SweepUnit, run_sweep
-
-    units = [SweepUnit(f"table/{p.name}",
-                       functools.partial(_detector_unit, p, options, config,
-                                         warp_batch))
-             for p in programs]
-    reports = run_sweep(units, jobs=jobs).values_strict()
-    result = TableResult(title)
-    for program, report in zip(programs, reports):
-        result.rows.append(TableRow(
-            program=program.name,
-            paper=expected.get(program.name, {}),
-            measured=measured_counts(report)))
-    return result
+def table4_plan(programs: list[Program]):
+    return _counting_plan(
+        "Table 4 — exceptions detected by GPU-FPX (precise build)",
+        [p for p in programs if p.expected], TABLE4, DetectorConfig())
 
 
 def table4(programs: list[Program], *, warp_batch: bool = True,
            jobs: int | None = 1) -> TableResult:
     """Table 4: exceptions detected on the shipped inputs."""
-    with_exceptions = [p for p in programs if p.expected]
-    return _counting_table(
-        "Table 4 — exceptions detected by GPU-FPX (precise build)",
-        with_exceptions, TABLE4, warp_batch=warp_batch, jobs=jobs)
+    return run_plans(table4_plan(programs), warp_batch=warp_batch,
+                     jobs=jobs)[0]
+
+
+def table5_plan(programs: list[Program]):
+    return _counting_plan(
+        "Table 5 — detection at FREQ-REDN-FACTOR 64",
+        [p for p in programs if p.name in TABLE5_K64], TABLE5_K64,
+        DetectorConfig(freq_redn_factor=64))
 
 
 def table5(programs: list[Program], *, warp_batch: bool = True,
            jobs: int | None = 1) -> TableResult:
     """Table 5: detection decrease at FREQ-REDN-FACTOR = 64."""
-    targets = [p for p in programs if p.name in TABLE5_K64]
-    return _counting_table(
-        "Table 5 — detection at FREQ-REDN-FACTOR 64",
-        targets, TABLE5_K64,
-        config=DetectorConfig(freq_redn_factor=64),
-        warp_batch=warp_batch, jobs=jobs)
+    return run_plans(table5_plan(programs), warp_batch=warp_batch,
+                     jobs=jobs)[0]
+
+
+def table6_plan(programs: list[Program]):
+    return _counting_plan(
+        "Table 6 — exceptions with --use_fast_math",
+        [p for p in programs if p.name in TABLE6_FASTMATH],
+        TABLE6_FASTMATH, DetectorConfig(), CompileOptions.fast_math())
 
 
 def table6(programs: list[Program], *, warp_batch: bool = True,
            jobs: int | None = 1) -> TableResult:
     """Table 6: the --use_fast_math study (the checkmark rows)."""
-    targets = [p for p in programs if p.name in TABLE6_FASTMATH]
-    return _counting_table(
-        "Table 6 — exceptions with --use_fast_math",
-        targets, TABLE6_FASTMATH,
-        options=CompileOptions.fast_math(),
-        warp_batch=warp_batch, jobs=jobs)
+    return run_plans(table6_plan(programs), warp_batch=warp_batch,
+                     jobs=jobs)[0]
 
 
 @dataclass

@@ -129,9 +129,9 @@ CTR_EXCEPTIONS_PREFIX = "fpx.exceptions."
 CTR_SHADOW_CHECKS = "fpx.shadow.checks"
 CTR_SHADOW_DIVERGENCES = "fpx.shadow.divergences"
 #: Built-schedule reuse: a hit is a run that restored an existing build
-#: (``BuiltProgram.fresh`` after its first use).  ``measure_slowdowns``
-#: runs its four configurations as observers of one run, so a build it
-#: makes counts one miss and no hit.
+#: (``BuiltProgram.fresh`` after its first use).  ``evaluate`` runs
+#: every requested configuration as an observer of one run, so each
+#: (program, build) of an evaluation counts one miss and no hit.
 CTR_BUILD_CACHE_HIT = "harness.build.cache.hit"
 CTR_BUILD_CACHE_MISS = "harness.build.cache.miss"
 #: Parallel-sweep scheduler accounting.

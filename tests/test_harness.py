@@ -15,6 +15,7 @@ from repro.harness import (
     run_detector,
 )
 from repro.harness.stats import BUCKETS, bucket_label
+from repro.telemetry import metrics_snapshot, names, telemetry_session
 from repro.workloads import program_by_name
 
 
@@ -108,6 +109,16 @@ class TestSamplingSweep:
         assert e[0] == e[1]
         # k=64 misses myocyte transients
         assert e[3] < e[0]
+
+    def test_figure6_is_one_session_per_program(self):
+        """The baseline and every factor observe one build and one
+        sweep unit per program."""
+        progs = [program_by_name(n) for n in ("myocyte", "backprop")]
+        with telemetry_session() as tel:
+            figure6(progs)
+        counters = metrics_snapshot(tel)["counters"]
+        assert counters[names.CTR_BUILD_CACHE_MISS] == 2
+        assert counters[names.CTR_SWEEP_UNITS_OK] == 2
 
     def test_figure6_render(self):
         progs = [program_by_name("backprop")]

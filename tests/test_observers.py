@@ -16,6 +16,7 @@ from repro.conformance.engine import _case_device
 from repro.fpx import AnalyzerConfig, DetectorConfig, FPXAnalyzer, \
     FPXDetector
 from repro.gpu import LaunchConfig
+from repro.harness.figures import FIGURE6_PROGRAMS
 from repro.harness.runner import build_program
 from repro.nvbit import LaunchSpec
 from repro.sass import KernelCode
@@ -90,20 +91,23 @@ def test_corpus_cases_fused_equals_solo():
         _assert_fused_equals_solo(device, schedule, FIG45, case.name)
 
 
-#: Programs whose launches repeat, where Algorithm 3 sampling matters.
-SAMPLED = ("CuMF-Movielens", "SRU-Example", "myocyte", "backprop",
-           "concurrentKernels", "simpleStreams", "Laghos", "Sw4lite (64)")
-
-
-@pytest.mark.parametrize("name", SAMPLED)
-def test_sampling_factors_share_a_pass(name):
-    """Detectors with different Algorithm-3 decisions (k = 0, 4, 64)
-    observe one execution and each matches its solo run."""
-    device, schedule = _built_factory(program_by_name(name), None)
-    factories = (lambda: None,) + tuple(
+def _sampled(*factors):
+    """Detectors at each FREQ-REDN-FACTOR in ``factors``."""
+    return tuple(
         (lambda k=k: RecDetector(DetectorConfig(freq_redn_factor=k)))
-        for k in (0, 4, 64))
-    _assert_fused_equals_solo(device, schedule, factories, name)
+        for k in factors)
+
+
+@pytest.mark.parametrize("name", FIGURE6_PROGRAMS)
+def test_sampling_factors_share_a_pass(name):
+    """Detectors with different Algorithm-3 decisions observe one
+    execution and each matches its solo run: k = 0, 4, 64 beside the
+    baseline, and the full evaluation's precise session of a Figure 6
+    program (the Figure 4/5 observers plus k = 4, 16, 64, 256)."""
+    device, schedule = _built_factory(program_by_name(name), None)
+    for factories in ((lambda: None,) + _sampled(0, 4, 64),
+                      FIG45 + _sampled(4, 16, 64, 256)):
+        _assert_fused_equals_solo(device, schedule, factories, name)
 
 
 @pytest.mark.parametrize("name", ("GRAMSCHM", "SRU-Example", "myocyte",

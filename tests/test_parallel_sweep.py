@@ -33,7 +33,6 @@ from repro.harness.parallel import (
     run_sweep,
 )
 from repro.harness.pool import pool_available
-from repro.harness.runner import measure_slowdowns_many
 from repro.harness.tables import table4, table5, table7
 from repro.telemetry import (
     get_telemetry,
@@ -255,14 +254,16 @@ class TestUnitPickling:
                                     name="adhoc")
         assert table4([adhoc], jobs=2).render() \
             == table4([adhoc], jobs=1).render()
-        # Two units reach the pickling gate (one is clamped to jobs=1).
-        serial = table4([adhoc, adhoc], jobs=1).render()
+        # Two units reach the pickling gate (one is clamped to jobs=1);
+        # one program listed twice would be one unit, so use a twin.
+        twin = dataclasses.replace(adhoc)
+        serial = table4([adhoc, twin], jobs=1).render()
         with telemetry_session() as tel, \
                 caplog.at_level("INFO", "repro.harness.parallel"):
-            assert table4([adhoc, adhoc], jobs=2).render() == serial
+            assert table4([adhoc, twin], jobs=2).render() == serial
         sweeps = [s for s in tel.spans if s.name == names.SPAN_SWEEP]
         assert [s.attrs["engine"] for s in sweeps] == ["serial"]
-        assert any("'table/adhoc' does not pickle" in r.getMessage()
+        assert any("'precise/adhoc' does not pickle" in r.getMessage()
                    for r in caplog.records)
 
 
@@ -301,11 +302,11 @@ class TestGoldenEquivalence:
     def test_merged_telemetry_equals_serial(self):
         programs = all_programs()[:4]
         with telemetry_session() as tel:
-            serial = measure_slowdowns_many(programs, jobs=1)
+            serial = figure4(programs, jobs=1).measurements
             serial_snap = metrics_snapshot(tel)
             serial_spans = sorted(s.name for s in tel.spans)
         with telemetry_session() as tel:
-            parallel = measure_slowdowns_many(programs, jobs=2)
+            parallel = figure4(programs, jobs=2).measurements
             parallel_snap = metrics_snapshot(tel)
             parallel_spans = sorted(s.name for s in tel.spans)
         assert [(s.fpx_slowdown, s.binfpe_slowdown, s.fpx_no_gt_slowdown)

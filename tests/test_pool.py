@@ -44,7 +44,7 @@ from repro.harness.pool import (
     uninstall_pool,
     use_pool,
 )
-from repro.harness.runner import measure_slowdowns_many
+from repro.harness.figures import figure4
 from repro.harness.tables import table4
 from repro.telemetry import metrics_snapshot, telemetry_session
 from repro.telemetry import names
@@ -114,6 +114,14 @@ def _after_gate(gate, v):
         time.sleep(0.01)
     time.sleep(0.3)  # let the parent take the hanging unit's start first
     return v
+
+
+class _KillsItsWorker:
+    """Unpickling this kills the process that does it: a pool worker
+    dies decoding the task, before it can send ``start``."""
+
+    def __reduce__(self):
+        return os._exit, (3,)
 
 
 def _blob(nbytes):
@@ -194,6 +202,37 @@ class TestPoolEngine:
             again = run_sweep(_units(4), jobs=2)
         assert again.values_strict() == [0, 1, 2, 3]
 
+    def test_task_that_kills_its_worker_before_start_fails_as_crash(self):
+        # One free requeue, then each death is charged: with retries=1
+        # the unit fails after three workers died unpickling it, instead
+        # of respawning workers forever.
+        pool = WorkerPool(1)
+        units = [SweepUnit("killer", functools.partial(
+            _value, _KillsItsWorker()))] + _units(2)
+        done = {}
+        thread = threading.Thread(target=lambda: done.update(
+            result=run_sweep(units, jobs=1, pool=pool, retries=1)),
+            daemon=True)
+        thread.start()
+        thread.join(30.0)
+        if thread.is_alive():
+            pool.abort()  # stop the respawn loop before failing
+            pytest.fail("sweep still respawning workers after 30s")
+        try:
+            result = done["result"]
+            bad = result.outcomes[0]
+            assert bad.failure.kind == FAIL_CRASH
+            assert "before starting the unit (exit code 3)" \
+                in bad.failure.message
+            assert bad.attempts == 2
+            assert result.values() == [None, 0, 1]
+            assert pool.jobs == 1
+            assert all(p.is_alive() for p in _processes(pool))
+            again = run_sweep(_units(3), jobs=1, pool=pool)
+            assert again.values_strict() == [0, 1, 2]
+        finally:
+            pool.shutdown()
+
     def test_hanging_unit_times_out_without_retry(self):
         units = [SweepUnit("hang", _hang)] + _units(2)
         t0 = time.monotonic()
@@ -269,9 +308,9 @@ class TestWarmth:
         programs = all_programs()[:2]
         pool = get_pool(2)
         with use_pool(pool):
-            measure_slowdowns_many(programs, jobs=2)
+            figure4(programs, jobs=2)
             baseline = pool.stats().warm_builds
-            measure_slowdowns_many(programs, jobs=2)
+            figure4(programs, jobs=2)
             warmed = pool.stats().warm_builds
         assert warmed > baseline
 
@@ -373,13 +412,13 @@ class TestGoldenIdentity:
     def test_merged_telemetry_equals_serial_with_live_server(self):
         programs = all_programs()[:4]
         with telemetry_session() as tel:
-            serial = measure_slowdowns_many(programs, jobs=1)
+            serial = figure4(programs, jobs=1).measurements
             serial_snap = metrics_snapshot(tel)
             serial_spans = sorted(s.name for s in tel.spans)
         with telemetry_session() as tel:
             with MetricsServer(port=0) as server, \
                     use_pool(get_pool(2)):
-                pooled = measure_slowdowns_many(programs, jobs=2)
+                pooled = figure4(programs, jobs=2).measurements
                 with urllib.request.urlopen(server.url + "/metrics",
                                             timeout=5.0) as resp:
                     body = resp.read().decode()
