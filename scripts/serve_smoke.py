@@ -11,9 +11,13 @@ acceptance behaviour end-to-end over real HTTP:
 3. two compatible kernel jobs with different inputs stack into one
    megabatch pass (``serve.batches``) and report per-member results;
 4. ``/v1/jobs/<id>/events`` serves the exception records;
-5. malformed and overflowing submissions get 400/429 with error
-   bodies;
-6. shutdown drains in-flight work before returning.
+5. malformed and oversized submissions get 400 with error bodies, and
+   an id that was never issued gets 404;
+6. after ``RETAINED_JOBS + 1`` more finished jobs (duplicates, served
+   from the cache) the first jobs are evicted: their ids answer 410,
+   and ``GET /v1/jobs`` lists at most ``RETAINED_JOBS`` finished jobs;
+7. overflowing submissions get 429 with error bodies;
+8. shutdown drains in-flight work before returning.
 
 Exits non-zero (AssertionError) on any violation.
 
@@ -31,7 +35,7 @@ import urllib.request
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from repro.serve import JobService, ServeConfig, ServeServer
+from repro.serve import RETAINED_JOBS, JobService, ServeConfig, ServeServer
 from repro.telemetry import parse_prometheus
 from repro.telemetry.names import (
     CTR_SERVE_BATCHES,
@@ -73,6 +77,19 @@ def _post(url: str, obj: dict) -> tuple[int, dict]:
         headers={"Content-Type": "application/json"})
     with urllib.request.urlopen(req, timeout=30.0) as resp:
         return resp.status, json.loads(resp.read())
+
+
+def _error(url: str, obj: dict | None = None) -> tuple[int, str]:
+    """The status and error message of a request that must fail: a
+    GET of ``url``, or a POST of ``obj`` to it."""
+    try:
+        if obj is None:
+            _get(url)
+        else:
+            _post(url, obj)
+    except urllib.error.HTTPError as exc:
+        return exc.code, json.loads(exc.read())["error"]
+    raise AssertionError(f"{url} answered 2xx")
 
 
 def _poll(base: str, href: str) -> dict:
@@ -149,14 +166,38 @@ def main() -> int:
         assert events and events[0]["classification"]["kind"] == "NAN"
         print(f"events ok: {len(events)} records")
 
-        # 5. malformed -> 400; overflow -> 429 (queue_depth=4, executor
-        # is idle so fill it with slow workload jobs first).
-        try:
-            _post(base + "/v1/jobs", {"workload": "no-such-program"})
-            raise AssertionError("malformed submission accepted")
-        except urllib.error.HTTPError as exc:
-            assert exc.code == 400, exc.code
-            assert "unknown workload" in json.loads(exc.read())["error"]
+        # 5. malformed or oversized -> 400; never issued -> 404.
+        code, error = _error(base + "/v1/jobs",
+                             {"workload": "no-such-program"})
+        assert code == 400 and "unknown workload" in error, (code, error)
+        oversized = kernel_job([INF32] * 32)
+        oversized["kernel"].update(grid_dim=1024, block_dim=1024)
+        code, error = _error(base + "/v1/jobs", oversized)
+        assert code == 400 and "at most 4096 threads" in error, \
+            (code, error)
+        code, _ = _error(base + "/v1/jobs/job-999999")
+        assert code == 404, code
+        print("validation ok: 400 unknown workload, 400 oversized "
+              "geometry, 404 never-issued id")
+
+        # 6. retention: RETAINED_JOBS + 1 cache-hit duplicates push the
+        # first finished jobs out; their ids answer 410.
+        for _ in range(RETAINED_JOBS + 1):
+            status, dup = _post(base + "/v1/jobs", kernel_job([INF32] * 32))
+            assert status == 202, dup
+            assert service.job(dup["job"]).wait(POLL_TIMEOUT)
+        for job_id in (inf_job.id, resp["job"]):
+            code, error = _error(base + f"/v1/jobs/{job_id}")
+            assert code == 410 and str(RETAINED_JOBS) in error, \
+                (code, error)
+        finished = [j for j in _get(base + "/v1/jobs")["jobs"]
+                    if j["status"] in ("done", "failed")]
+        assert len(finished) <= RETAINED_JOBS, len(finished)
+        print(f"retention ok: 410 for evicted ids, {len(finished)} "
+              f"finished jobs listed (bound {RETAINED_JOBS})")
+
+        # 7. overflow -> 429 (queue_depth=4, executor is idle so fill
+        # it with slow workload jobs first).
         rejected = 0
         for _ in range(12):
             try:
@@ -171,7 +212,7 @@ def main() -> int:
         server.stop()
         service.shutdown(drain=True)
 
-    # 6. the drain finished everything that was accepted.
+    # 8. the drain finished everything that was accepted.
     assert all(job.done.is_set() for job in service.jobs())
     statuses = {job.status for job in service.jobs()}
     assert statuses <= {"done"}, statuses

@@ -18,7 +18,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from urllib.parse import urlsplit
 
 from .jobs import BadRequest
-from .service import JobService, QueueFull, ServiceClosed
+from .service import RETAINED_JOBS, JobService, QueueFull, ServiceClosed
 
 __all__ = ["ServeServer"]
 
@@ -52,8 +52,14 @@ class _ServeHandler(BaseHTTPRequestHandler):
                 return
             parts = [p for p in path.split("/") if p]
             if len(parts) >= 2 and parts[0] == "v1" and parts[1] == "jobs":
-                job = service.job(parts[2]) if len(parts) > 2 else None
-                if job is None:
+                job_id = parts[2] if len(parts) > 2 else ""
+                job = service.job(job_id)
+                if job is None and service.evicted(job_id):
+                    self._json(410, {"error": (
+                        f"job {job_id} was evicted: the service keeps "
+                        f"the {RETAINED_JOBS} most recently finished "
+                        f"jobs")})
+                elif job is None:
                     self._json(404, {"error": "no such job"})
                 elif len(parts) == 3:
                     self._json(200, job.status_json())
@@ -84,7 +90,10 @@ class _ServeHandler(BaseHTTPRequestHandler):
             raw = self.rfile.read(length)
             try:
                 body = json.loads(raw.decode("utf-8"))
-            except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            except (ValueError, RecursionError) as exc:
+                # ValueError covers bad UTF-8, bad JSON and integers
+                # past the interpreter's digit limit; RecursionError,
+                # arrays nested too deep to parse.
                 self._json(400, {"error": f"body is not JSON: {exc}"})
                 return
             try:

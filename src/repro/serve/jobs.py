@@ -17,7 +17,10 @@ or an ad-hoc ``kernel`` (SASS text plus staged inputs/outputs)::
 :class:`BadRequest` maps to HTTP 400 — and normalises the body into a
 frozen, hashable :class:`JobRequest` whose :meth:`~JobRequest.cache_key`
 and :meth:`~JobRequest.batch_key` drive the result cache and the
-megabatch stacker.
+megabatch stacker.  Unknown keys and wrongly typed values are refused,
+and so is a kernel job past :data:`MAX_THREADS` threads or with an
+output past :data:`MAX_OUTPUT_WORDS` words, so its size is bounded
+before it runs.
 """
 
 from __future__ import annotations
@@ -28,7 +31,14 @@ import threading
 import time
 from dataclasses import dataclass, field
 
-__all__ = ["BadRequest", "Job", "JobRequest", "parse_request"]
+__all__ = [
+    "BadRequest",
+    "Job",
+    "JobRequest",
+    "MAX_OUTPUT_WORDS",
+    "MAX_THREADS",
+    "parse_request",
+]
 
 TOOLS = ("detector", "analyzer", "binfpe")
 #: Tools an ad-hoc kernel job may run (binfpe is workload-only).
@@ -42,6 +52,19 @@ CONFIG_KEYS = ("use_gt", "on_device_check", "freq_redn_factor",
 #: booleans except ``shadow``, which also accepts a non-negative
 #: integer ULP threshold.
 OPTION_KEYS = ("warp_batch", "megabatch", "shadow")
+#: Top-level keys of a submission, and the keys of its ``kernel``,
+#: ``inputs[i]`` and ``outputs[i]`` objects.
+BODY_KEYS = ("workload", "kernel", "tool", "fast_math", "config",
+             "options", "inputs", "outputs")
+KERNEL_KEYS = ("name", "sass", "grid_dim", "block_dim")
+INPUT_KEYS = ("fmt", "bits")
+OUTPUT_KEYS = ("fmt", "count")
+#: Most threads (``grid_dim * block_dim``) one kernel job may launch.
+#: The executor allocates every warp's register file up front (32 KB a
+#: warp), so this caps those registers at 4 MB before the job runs.
+MAX_THREADS = 4096
+#: Most words one ``outputs[i]`` buffer may hold.
+MAX_OUTPUT_WORDS = 4096
 
 
 class BadRequest(ValueError):
@@ -138,8 +161,6 @@ class Job:
     events: list | None = None
     error: str | None = None
     cached: bool = False
-    #: This job's merged telemetry snapshot (batch members share one).
-    telemetry: dict | None = None
     done: threading.Event = field(default_factory=threading.Event)
 
     def wait(self, timeout: float | None = None) -> bool:
@@ -176,14 +197,29 @@ def _require(cond: bool, message: str) -> None:
         raise BadRequest(message)
 
 
+def _is_int(value) -> bool:
+    """A JSON integer (``true``/``false`` are not integers here)."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _known_keys(obj: dict, allowed: tuple, where: str) -> None:
+    for key in obj:
+        _require(key in allowed,
+                 f"unknown {where} key {key!r}; expected one of "
+                 f"{', '.join(allowed)}")
+
+
 def _parse_config(raw) -> tuple:
     if raw is None:
         return ()
     _require(isinstance(raw, dict), "'config' must be an object")
-    for key in raw:
-        _require(key in CONFIG_KEYS,
-                 f"unknown config key {key!r}; expected one of "
-                 f"{', '.join(CONFIG_KEYS)}")
+    _known_keys(raw, CONFIG_KEYS, "config")
+    for key in ("use_gt", "on_device_check"):
+        _require(isinstance(raw.get(key, True), bool),
+                 f"'config.{key}' must be a boolean")
+    frf = raw.get("freq_redn_factor", 0)
+    _require(_is_int(frf) and frf >= 0,
+             "'config.freq_redn_factor' must be a non-negative integer")
     out = dict(raw)
     if "kernel_whitelist" in out and out["kernel_whitelist"] is not None:
         wl = out["kernel_whitelist"]
@@ -220,11 +256,12 @@ def _parse_inputs(raw) -> tuple:
     out = []
     for i, inp in enumerate(raw):
         _require(isinstance(inp, dict), f"inputs[{i}] must be an object")
+        _known_keys(inp, INPUT_KEYS, f"inputs[{i}]")
         fmt = inp.get("fmt", "f32")
         _require(fmt in FORMATS, f"inputs[{i}].fmt must be f32 or f64")
         bits = inp.get("bits")
         _require(isinstance(bits, list) and bits
-                 and all(isinstance(b, int) and b >= 0 for b in bits),
+                 and all(_is_int(b) and b >= 0 for b in bits),
                  f"inputs[{i}].bits must be a non-empty list of "
                  f"non-negative integers")
         limit = 1 << (64 if fmt == "f64" else 32)
@@ -241,11 +278,15 @@ def _parse_outputs(raw) -> tuple:
     out = []
     for i, spec in enumerate(raw):
         _require(isinstance(spec, dict), f"outputs[{i}] must be an object")
+        _known_keys(spec, OUTPUT_KEYS, f"outputs[{i}]")
         fmt = spec.get("fmt", "f32")
         _require(fmt in FORMATS, f"outputs[{i}].fmt must be f32 or f64")
         count = spec.get("count")
-        _require(isinstance(count, int) and count > 0,
+        _require(_is_int(count) and count > 0,
                  f"outputs[{i}].count must be a positive integer")
+        _require(count <= MAX_OUTPUT_WORDS,
+                 f"outputs[{i}].count is {count}; a job may read back at "
+                 f"most {MAX_OUTPUT_WORDS} words per output")
         out.append((fmt, count))
     return tuple(out)
 
@@ -254,6 +295,7 @@ def parse_request(body) -> JobRequest:
     """Validate one submission body; raises :class:`BadRequest`."""
     _require(isinstance(body, dict), "submission body must be a JSON "
                                      "object")
+    _known_keys(body, BODY_KEYS, "submission")
     tool = body.get("tool", "detector")
     _require(tool in TOOLS,
              f"unknown tool {tool!r}; expected one of {', '.join(TOOLS)}")
@@ -288,6 +330,7 @@ def parse_request(body) -> JobRequest:
 
     kernel = body["kernel"]
     _require(isinstance(kernel, dict), "'kernel' must be an object")
+    _known_keys(kernel, KERNEL_KEYS, "kernel")
     _require(tool in KERNEL_TOOLS,
              f"kernel jobs run under {' or '.join(KERNEL_TOOLS)}, "
              f"not {tool!r}")
@@ -299,10 +342,13 @@ def parse_request(body) -> JobRequest:
              "'kernel.sass' must be the non-empty SASS text")
     grid = kernel.get("grid_dim", 1)
     block = kernel.get("block_dim", 32)
-    _require(isinstance(grid, int) and grid > 0,
+    _require(_is_int(grid) and grid > 0,
              "'kernel.grid_dim' must be a positive integer")
-    _require(isinstance(block, int) and 0 < block <= 1024,
+    _require(_is_int(block) and 0 < block <= 1024,
              "'kernel.block_dim' must be in 1..1024")
+    _require(grid * block <= MAX_THREADS,
+             f"a kernel job launches at most {MAX_THREADS} threads "
+             f"(grid_dim * block_dim); this one asks for {grid * block}")
     _require("fast_math" not in body or not body["fast_math"],
              "'fast_math' applies to workload jobs only")
     return JobRequest(kind="kernel", tool=tool, kernel_name=name,

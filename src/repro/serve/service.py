@@ -2,11 +2,12 @@
 
 One dispatcher/executor thread owns all job execution.  That is a
 deliberate design, not a limitation: the process-global telemetry
-registry can only be swapped by one executor at a time (each job runs
-under its own :func:`~repro.telemetry.telemetry_session`, and its
-snapshot merges into the long-lived service registry afterwards), and
-the simulator is pure Python, so thread-level parallelism would buy
-nothing under the GIL anyway.  Throughput instead comes from
+registry can only be swapped by one executor at a time (each executed
+pass runs under its own :func:`~repro.telemetry.telemetry_session`,
+and its counters, gauges and histograms merge into the long-lived
+service registry afterwards), and the simulator is pure Python, so
+thread-level parallelism would buy nothing under the GIL anyway.
+Throughput instead comes from
 
 - the **result cache** (:mod:`.cache`): duplicate submissions complete
   without touching the simulator (``serve.cache.hit``);
@@ -20,6 +21,11 @@ The ``serve.*`` counters are written directly on the service registry
 them live; the registry is exposed through a *mounted*
 :class:`~repro.telemetry.server.MetricsServer` whose routes the HTTP
 layer (:mod:`.http`) serves on the job API's own port.
+
+The service's memory is a function of its bounds, not of its history:
+the registry keeps counters, gauges and histograms but no spans or
+events, and at most :data:`RETAINED_JOBS` finished jobs stay
+retrievable, the oldest-finished evicted first.
 """
 
 from __future__ import annotations
@@ -59,9 +65,15 @@ from ..telemetry.server import MetricsServer
 from .cache import ResultCache
 from .jobs import FMT_WORD, Job, JobRequest, parse_request
 
-__all__ = ["JobService", "QueueFull", "ServeConfig", "ServiceClosed"]
+__all__ = ["JobService", "QueueFull", "RETAINED_JOBS", "ServeConfig",
+           "ServiceClosed"]
 
 log = logging.getLogger("repro.serve")
+
+#: Finished (done or failed) jobs the service keeps retrievable; older
+#: ones are evicted, oldest-finished first.  Eight times the default
+#: queue depth.
+RETAINED_JOBS = 256
 
 
 class QueueFull(RuntimeError):
@@ -90,7 +102,7 @@ class JobService:
     def __init__(self, config: ServeConfig | None = None) -> None:
         self.config = config or ServeConfig()
         #: The long-lived service registry: ``serve.*`` counters plus
-        #: every job's merged telemetry snapshot.
+        #: every executed pass's counters, gauges and histograms.
         self.telemetry = tel = Telemetry()
         self.cache = ResultCache(self.config.cache_size)
         #: The mounted exposition server (no port of its own — the
@@ -98,7 +110,10 @@ class JobService:
         #: source closes over the registry, not the service, so a shut
         #: down service dies by reference count.
         self.metrics = MetricsServer(source=lambda: live_view(tel))
+        #: Live and retained jobs by id; ``_finished`` holds the
+        #: retained finished ids, oldest-finished first.
         self._jobs: dict[str, Job] = {}
+        self._finished: deque[str] = deque()
         self._queue: deque[Job] = deque()
         self._lock = threading.Lock()
         self._wake = threading.Condition(self._lock)
@@ -140,6 +155,7 @@ class JobService:
                     job = self._queue.popleft()
                     job.status = "failed"
                     job.error = "service shut down before execution"
+                    self._retire_locked(job)
                     job.done.set()
                 self.telemetry.gauge(GAUGE_SERVE_QUEUE_DEPTH, 0)
             self._wake.notify_all()
@@ -187,8 +203,21 @@ class JobService:
             return self._jobs.get(job_id)
 
     def jobs(self) -> list[Job]:
+        """Every queued and running job, plus the retained finished
+        ones."""
         with self._lock:
             return list(self._jobs.values())
+
+    def evicted(self, job_id: str) -> bool:
+        """Whether this service issued ``job_id`` and has since evicted
+        it (HTTP 410, where an id never issued is 404)."""
+        try:
+            n = int(job_id.removeprefix("job-"))
+        except ValueError:
+            return False
+        with self._lock:
+            return (0 < n <= self._seq and job_id == f"job-{n:06d}"
+                    and job_id not in self._jobs)
 
     # -- the executor loop -------------------------------------------------
 
@@ -268,19 +297,16 @@ class JobService:
                 log.exception("job %s failed", job.id)
                 self._fail(job, exc)
 
-    def _finish(self, job: Job, payload: dict, events,
-                snapshot: dict | None = None, *,
+    def _finish(self, job: Job, payload: dict, events, *,
                 cached: bool = False) -> None:
         if not cached:
             self.cache.put(job.request.cache_key(), payload, events)
-        if snapshot is not None:
-            merge_snapshot(self.telemetry, snapshot)
-            job.telemetry = snapshot
         with self._lock:
             job.report = payload
             job.events = list(events) if events is not None else []
             job.cached = cached
             job.status = "done"
+            self._retire_locked(job)
         self.telemetry.count(CTR_SERVE_JOBS_COMPLETED)
         job.done.set()
 
@@ -288,8 +314,24 @@ class JobService:
         with self._lock:
             job.status = "failed"
             job.error = f"{type(exc).__name__}: {exc}"
+            self._retire_locked(job)
         self.telemetry.count(CTR_SERVE_JOBS_FAILED)
         job.done.set()
+
+    def _retire_locked(self, job: Job) -> None:
+        """Queue a finished job for eviction; evict past the bound."""
+        self._finished.append(job.id)
+        while len(self._finished) > RETAINED_JOBS:
+            del self._jobs[self._finished.popleft()]
+
+    def _merge(self, tel: Telemetry) -> None:
+        """Fold one executed pass's counters, gauges and histograms
+        into the service registry.  Its spans and events are dropped:
+        no route serves them, and keeping them grew the registry (and
+        every ``/metrics`` scrape's copy of it) with every job."""
+        snapshot = snapshot_registry(tel)
+        del snapshot["spans"], snapshot["events"]
+        merge_snapshot(self.telemetry, snapshot)
 
     # -- execution legs ----------------------------------------------------
 
@@ -302,8 +344,8 @@ class JobService:
                     payload, events = _run_workload(req)
                 else:
                     payload, events = _run_kernel(req)
-            snapshot = snapshot_registry(tel)
-        self._finish(job, payload, events, snapshot)
+        self._merge(tel)
+        self._finish(job, payload, events)
 
     def _run_kernel_batch(self, jobs: list[Job]) -> None:
         """Stack compatible kernel jobs through one run_batch pass."""
@@ -333,10 +375,10 @@ class JobService:
                     members.append((job, _kernel_payload(
                         job.request, report, outputs),
                         report["records"]))
-            snapshot = snapshot_registry(tel)
+        self._merge(tel)
         self.telemetry.count(CTR_SERVE_BATCHES)
         for job, payload, events in members:
-            self._finish(job, payload, events, snapshot)
+            self._finish(job, payload, events)
 
 
 # -- execution helpers --------------------------------------------------------

@@ -1,5 +1,6 @@
 """The repro.serve job service: lifecycle, cache, backpressure,
-batching, shutdown, telemetry merge, and CLI-JSON byte-identity.
+batching, shutdown, telemetry merge, size limits, bounded retention,
+and CLI-JSON byte-identity.
 
 Determinism lever used throughout: a :class:`JobService` accepts
 submissions from construction and only starts executing at
@@ -15,6 +16,9 @@ import pytest
 
 from repro import cli
 from repro.serve import (
+    MAX_OUTPUT_WORDS,
+    MAX_THREADS,
+    RETAINED_JOBS,
     BadRequest,
     JobService,
     QueueFull,
@@ -26,9 +30,12 @@ from repro.serve import (
 from repro.serve.service import _run_kernel
 from repro.telemetry import snapshot_registry, telemetry_session
 from repro.telemetry.names import (
+    CTR_MEGABATCH_BATCHES,
+    CTR_MEGABATCH_MEMBERS,
     CTR_SERVE_BATCHES,
     CTR_SERVE_CACHE_HIT,
     CTR_SERVE_CACHE_MISS,
+    CTR_SERVE_JOBS_COMPLETED,
     CTR_SERVE_JOBS_REJECTED,
 )
 
@@ -216,6 +223,45 @@ class TestMalformed:
                 in json.loads(exc_info.value.read())["error"]
 
 
+def sized_job(grid, block, count=32):
+    job = kernel_job([ONE32] * 32)
+    job["kernel"].update(grid_dim=grid, block_dim=block)
+    job["outputs"] = [{"fmt": "f32", "count": count}]
+    return job
+
+
+class TestSizeLimits:
+    @pytest.mark.parametrize("body,match", [
+        (sized_job(1024, 1024), f"at most {MAX_THREADS} threads"),
+        (sized_job(1 << 20, 32), f"at most {MAX_THREADS} threads"),
+        (sized_job(MAX_THREADS // 32 + 1, 32),
+         f"at most {MAX_THREADS} threads"),
+        (sized_job(1, 32, MAX_OUTPUT_WORDS + 1),
+         f"at most {MAX_OUTPUT_WORDS} words"),
+    ])
+    def test_oversized_kernel_job_rejected(self, body, match):
+        with pytest.raises(BadRequest, match=match):
+            parse_request(body)
+
+    def test_limits_are_inclusive(self):
+        req = parse_request(sized_job(MAX_THREADS // 1024, 1024,
+                                      MAX_OUTPUT_WORDS))
+        assert req.grid_dim * req.block_dim == MAX_THREADS
+        assert req.outputs == (("f32", MAX_OUTPUT_WORDS),)
+
+    @pytest.mark.parametrize("body", [
+        sized_job(1024, 1024), sized_job(1, 32, MAX_OUTPUT_WORDS + 1)])
+    def test_http_400_names_the_limit(self, body):
+        service = JobService()  # never started: nothing may execute
+        with ServeServer(service, port=0) as server:
+            with pytest.raises(urllib.error.HTTPError) as exc_info:
+                _post(server.url + "/v1/jobs", body)
+            assert exc_info.value.code == 400
+            assert "at most 4096" \
+                in json.loads(exc_info.value.read())["error"]
+        assert service.jobs() == []
+
+
 class TestBatching:
     def test_compatible_queued_jobs_stack_through_run_batch(self):
         service = JobService()
@@ -361,11 +407,66 @@ class TestTelemetryMerge:
         with telemetry_session() as tel:
             _run_kernel(job.request)
             direct = snapshot_registry(tel)
-        assert job.telemetry is not None
-        assert job.telemetry["counters"] == direct["counters"]
-        # ...and every job counter merged into the service registry
+        # every counter of the job reaches the service registry...
         for name, value in direct["counters"].items():
             assert _counter(service, name) == value
+        # ...but no span or event is kept, on the registry or the job
+        assert direct["spans"] and direct["events"]
+        assert service.telemetry.spans == []
+        assert service.telemetry.events == []
+        assert not hasattr(job, "telemetry")
+
+    def test_stacked_batch_merges_once(self):
+        service = JobService()
+        # staged before start(): one stacked batch of four members
+        jobs = [service.submit(kernel_job([ONE32 + i] * 32))
+                for i in range(4)]
+        service.start()
+        try:
+            assert all(job.wait(60) for job in jobs)
+        finally:
+            service.shutdown()
+        assert [_counter(service, name) for name in (
+            CTR_SERVE_BATCHES, CTR_MEGABATCH_BATCHES,
+            CTR_MEGABATCH_MEMBERS)] == [1, 1, 4]
+
+
+class TestRetention:
+    def test_state_stays_bounded_over_many_jobs(self):
+        """Three times the retention bound of cache-hit duplicates
+        plus a few distinct kernel jobs: the service keeps at most
+        RETAINED_JOBS finished jobs and no spans or events, and
+        answers 410 for an evicted id, 404 for one never issued."""
+        bodies = [kernel_job([ONE32 + i] * 32) for i in range(4)]
+        total = 3 * RETAINED_JOBS + 4
+        with JobService(ServeConfig(queue_depth=total)) as service, \
+                ServeServer(service, port=0) as server:
+            held = [service.submit(bodies[n % len(bodies)])
+                    for n in range(total)]
+            first = held[0]
+            assert all(job.wait(60) for job in held)
+            assert len(service.jobs()) <= RETAINED_JOBS
+            assert service.telemetry.spans == []
+            assert service.telemetry.events == []
+            assert _counter(service, CTR_SERVE_JOBS_COMPLETED) == total
+            # a caller holding an evicted job keeps it
+            assert service.job(first.id) is None
+            assert first.status == "done" and first.report is not None
+            for href in (f"/v1/jobs/{first.id}",
+                         f"/v1/jobs/{first.id}/events"):
+                with pytest.raises(urllib.error.HTTPError) as exc_info:
+                    _get(server.url + href)
+                assert exc_info.value.code == 410
+                assert str(RETAINED_JOBS) \
+                    in json.loads(exc_info.value.read())["error"]
+            for never in (f"job-{total + 1:06d}", "job-1", "job-000000"):
+                with pytest.raises(urllib.error.HTTPError) as exc_info:
+                    _get(server.url + f"/v1/jobs/{never}")
+                assert exc_info.value.code == 404
+            status, listing = _get(server.url + "/v1/jobs")
+            assert status == 200
+            assert len(listing["jobs"]) <= RETAINED_JOBS
+            assert listing["jobs"][-1]["job"] == held[-1].id
 
 
 class TestCLIByteIdentity:
