@@ -10,13 +10,17 @@ acceptance behaviour end-to-end over real HTTP:
    in-repo ``parse_prometheus`` conformance parser, not string grep);
 3. two compatible kernel jobs with different inputs stack into one
    megabatch pass (``serve.batches``) and report per-member results;
+   a later job on the same SASS with new inputs reuses the assembled
+   kernel (``serve.kernels.hit``) without hitting the result cache;
 4. ``/v1/jobs/<id>/events`` serves the exception records;
 5. malformed and oversized submissions get 400 with error bodies, and
    an id that was never issued gets 404;
 6. after ``RETAINED_JOBS + 1`` more finished jobs (duplicates, served
    from the cache) the first jobs are evicted: their ids answer 410,
    and ``GET /v1/jobs`` lists at most ``RETAINED_JOBS`` finished jobs;
-7. overflowing submissions get 429 with error bodies;
+7. a second service, not yet started, behind its own listener takes
+   exactly as many submissions as its queue holds and answers 429 with
+   an error body to the rest; started, it finishes the accepted ones;
 8. shutdown drains in-flight work before returning.
 
 Exits non-zero (AssertionError) on any violation.
@@ -41,12 +45,16 @@ from repro.telemetry.names import (
     CTR_SERVE_BATCHES,
     CTR_SERVE_CACHE_HIT,
     CTR_SERVE_JOBS_COMPLETED,
+    CTR_SERVE_KERNELS_HIT,
 )
 from repro.telemetry.prom import metric_name
 
 POLL_TIMEOUT = 120.0
 INF32 = 0x7F800000
 NAN32 = 0x7FC00000
+ONE32 = 0x3F800000
+#: Queue depth of both services; step 7 posts three times as many.
+QUEUE_DEPTH = 4
 
 KERNEL_SASS = """
     S2R R0, SR_TID.X ;
@@ -122,8 +130,10 @@ def main() -> int:
     hit_metric = metric_name(CTR_SERVE_CACHE_HIT) + "_total"
     batch_metric = metric_name(CTR_SERVE_BATCHES) + "_total"
     done_metric = metric_name(CTR_SERVE_JOBS_COMPLETED) + "_total"
+    reuse_metric = metric_name(CTR_SERVE_KERNELS_HIT) + "_total"
 
-    service = JobService(ServeConfig(cache_size=32, queue_depth=4))
+    service = JobService(ServeConfig(cache_size=32,
+                                     queue_depth=QUEUE_DEPTH))
     # Stage a deterministic batch before the executor starts: two
     # compatible kernel jobs (different inputs) must stack into one
     # run_batch pass; the duplicate must complete from the cache.
@@ -161,6 +171,19 @@ def main() -> int:
         print(f"kernel jobs ok: {batch_metric}={live[batch_metric]:.0f}, "
               f"{hit_metric}={live[hit_metric]:.0f}")
 
+        # 3b. new inputs on the same SASS: a kernel-table hit, not a
+        # result-cache hit.
+        status, reuse = _post(base + "/v1/jobs", kernel_job([ONE32] * 32))
+        assert status == 202, reuse
+        reuse_doc = _poll(base, reuse["href"])
+        assert not reuse_doc["cached"], reuse_doc
+        live = _samples(base)
+        assert live.get(reuse_metric) == 1, live
+        assert live.get(hit_metric) == 1, live
+        print(f"kernel reuse ok: {reuse_metric}="
+              f"{live[reuse_metric]:.0f}, {hit_metric}="
+              f"{live[hit_metric]:.0f}")
+
         # 4. the events route.
         events = _get(base + f"/v1/jobs/{nan_job.id}/events")["events"]
         assert events and events[0]["classification"]["kind"] == "NAN"
@@ -196,18 +219,33 @@ def main() -> int:
         print(f"retention ok: 410 for evicted ids, {len(finished)} "
               f"finished jobs listed (bound {RETAINED_JOBS})")
 
-        # 7. overflow -> 429 (queue_depth=4, executor is idle so fill
-        # it with slow workload jobs first).
-        rejected = 0
-        for _ in range(12):
+        # 7. overflow -> 429, against a second service whose executor
+        # has not started: its queue fills after exactly QUEUE_DEPTH
+        # submissions, however fast the first service runs.
+        backlog = JobService(ServeConfig(queue_depth=QUEUE_DEPTH))
+        with ServeServer(backlog, port=0) as backlog_server:
+            accepted, rejected = [], 0
+            for _ in range(3 * QUEUE_DEPTH):
+                try:
+                    status, doc = _post(
+                        backlog_server.url + "/v1/jobs",
+                        {"workload": "myocyte", "tool": "binfpe"})
+                    assert status == 202, (status, doc)
+                    accepted.append(doc["job"])
+                except urllib.error.HTTPError as exc:
+                    assert exc.code == 429, exc.code
+                    assert "full" in json.loads(exc.read())["error"]
+                    rejected += 1
+            assert len(accepted) == QUEUE_DEPTH, accepted
+            assert rejected == 2 * QUEUE_DEPTH, rejected
+            backlog.start()
             try:
-                _post(base + "/v1/jobs", {"workload": "myocyte",
-                                          "tool": "binfpe"})
-            except urllib.error.HTTPError as exc:
-                assert exc.code == 429, exc.code
-                rejected += 1
-        assert rejected > 0, "queue never overflowed"
-        print(f"backpressure ok: {rejected} submissions got 429")
+                for job_id in accepted:
+                    _poll(backlog_server.url, f"/v1/jobs/{job_id}")
+            finally:
+                backlog.shutdown(drain=True)
+        print(f"backpressure ok: {len(accepted)} accepted and done, "
+              f"{rejected} got 429")
     finally:
         server.stop()
         service.shutdown(drain=True)

@@ -26,6 +26,11 @@ log = logging.getLogger("repro.serve.http")
 
 #: Submission bodies beyond this are rejected outright (HTTP 400).
 MAX_BODY_BYTES = 8 * 1024 * 1024
+#: Seconds one read from a client's socket may wait.  A client that
+#: stops sending mid-request (say, a body shorter than its
+#: Content-Length) has its connection closed by ``handle_one_request``
+#: instead of pinning a handler thread.
+READ_TIMEOUT_S = 10.0
 
 
 def _json_body(obj) -> str:
@@ -34,6 +39,10 @@ def _json_body(obj) -> str:
 
 class _ServeHandler(BaseHTTPRequestHandler):
     server_version = "repro-serve"
+
+    def setup(self) -> None:
+        self.timeout = READ_TIMEOUT_S  # StreamRequestHandler applies it
+        super().setup()
 
     # -- routing ----------------------------------------------------------
 

@@ -30,6 +30,7 @@ import json
 import threading
 import time
 from dataclasses import dataclass, field
+from functools import cached_property
 
 __all__ = [
     "BadRequest",
@@ -103,28 +104,27 @@ class JobRequest:
         return dict(self.options).get(name, default)
 
     # -- fingerprints -----------------------------------------------------
+    #
+    # The request is frozen, so each key is hashed once and kept: the
+    # dispatcher reads both keys of every queued request on every take
+    # it waits through, under the lock that submit() also needs.
 
     def kernel_fingerprint(self) -> str:
         """sha256 of the program identity (SASS text or workload name)."""
-        if self.kind == "workload":
-            return _digest(["workload", self.workload])
-        return _digest(["kernel", self.kernel_name, self.sass])
+        return self._cache_key[0]
 
     def plan_fingerprint(self) -> str:
         """sha256 of everything that shapes the instrumentation plan
         and execution: tool, config, engine knobs, geometry, options."""
-        return _digest([self.tool, list(self.config), list(self.options),
-                        self.fast_math, self.grid_dim, self.block_dim])
+        return self._cache_key[1]
 
     def input_digest(self) -> str:
-        return _digest([[fmt, list(bits)] for fmt, bits in self.inputs]
-                       + [[fmt, count] for fmt, count in self.outputs])
+        return self._cache_key[2]
 
     def cache_key(self) -> tuple[str, str, str]:
         """The result-cache key: two identical submissions — byte for
         byte the same program, plan and inputs — share one entry."""
-        return (self.kernel_fingerprint(), self.plan_fingerprint(),
-                self.input_digest())
+        return self._cache_key
 
     def batch_key(self) -> tuple | None:
         """Megabatch compatibility class, or ``None`` when unstackable.
@@ -134,6 +134,20 @@ class JobRequest:
         ``Session.run_batch``; workload and analyzer jobs, and jobs
         that disabled the megabatch knob, run solo.
         """
+        return self._batch_key
+
+    @cached_property
+    def _cache_key(self) -> tuple[str, str, str]:
+        program = (["workload", self.workload] if self.kind == "workload"
+                   else ["kernel", self.kernel_name, self.sass])
+        return (_digest(program),
+                _digest([self.tool, list(self.config), list(self.options),
+                         self.fast_math, self.grid_dim, self.block_dim]),
+                _digest([[fmt, list(bits)] for fmt, bits in self.inputs]
+                        + [[fmt, count] for fmt, count in self.outputs]))
+
+    @cached_property
+    def _batch_key(self) -> tuple | None:
         if self.kind != "kernel" or self.tool != "detector" \
                 or not self.option("megabatch"):
             return None

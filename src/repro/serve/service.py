@@ -9,12 +9,20 @@ service registry afterwards), and the simulator is pure Python, so
 thread-level parallelism would buy nothing under the GIL anyway.
 Throughput instead comes from
 
-- the **result cache** (:mod:`.cache`): duplicate submissions complete
-  without touching the simulator (``serve.cache.hit``);
+- the **result cache** (:class:`~.cache.ResultCache`): duplicate
+  submissions complete without touching the simulator
+  (``serve.cache.hit``);
 - **megabatch stacking**: compatible queued kernel jobs — same SASS,
   geometry, tool config and knobs, different inputs — execute as one
   ``Session.run_batch`` pass with per-member reports
-  (``serve.batches``).
+  (``serve.batches``);
+- the **kernel table** (:class:`~.cache.KernelTable`): every executed
+  kernel pass takes its :class:`~repro.sass.program.KernelCode` from a
+  table keyed on the kernel fingerprint, so a job on a known kernel
+  skips assembly and reuses the decode and Algorithm-1 memos kept on
+  the code object (``serve.kernels.hit``).  The table is bounded by
+  :data:`~.cache.KERNEL_BUDGET` static instructions, independent of the
+  result cache's size, and dies with the service.
 
 The ``serve.*`` counters are written directly on the service registry
 (not the swapped active one), so a ``/metrics`` scrape mid-job sees
@@ -57,12 +65,14 @@ from ..telemetry.names import (
     CTR_SERVE_JOBS_FAILED,
     CTR_SERVE_JOBS_REJECTED,
     CTR_SERVE_JOBS_SUBMITTED,
+    CTR_SERVE_KERNELS_HIT,
+    CTR_SERVE_KERNELS_MISS,
     GAUGE_SERVE_INFLIGHT,
     GAUGE_SERVE_QUEUE_DEPTH,
     SPAN_SERVE_JOB,
 )
 from ..telemetry.server import MetricsServer
-from .cache import ResultCache
+from .cache import KernelTable, ResultCache
 from .jobs import FMT_WORD, Job, JobRequest, parse_request
 
 __all__ = ["JobService", "QueueFull", "RETAINED_JOBS", "ServeConfig",
@@ -105,6 +115,8 @@ class JobService:
         #: every executed pass's counters, gauges and histograms.
         self.telemetry = tel = Telemetry()
         self.cache = ResultCache(self.config.cache_size)
+        #: Assembled kernels by fingerprint; dispatcher thread only.
+        self.kernels = KernelTable()
         #: The mounted exposition server (no port of its own — the
         #: HTTP layer answers its routes through ``respond()``).  Its
         #: source closes over the registry, not the service, so a shut
@@ -335,6 +347,20 @@ class JobService:
 
     # -- execution legs ----------------------------------------------------
 
+    def _kernel_code(self, req: JobRequest) -> KernelCode:
+        """The kernel one executed pass runs: the table's, or a fresh
+        assembly the table then holds (a SASS error propagates and
+        leaves the table as it was)."""
+        key = req.kernel_fingerprint()
+        code = self.kernels.get(key)
+        if code is not None:
+            self.telemetry.count(CTR_SERVE_KERNELS_HIT)
+            return code
+        self.telemetry.count(CTR_SERVE_KERNELS_MISS)
+        code = KernelCode.assemble(req.kernel_name, req.sass)
+        self.kernels.put(key, code)
+        return code
+
     def _run_single(self, job: Job) -> None:
         req = job.request
         with telemetry_session() as tel:
@@ -343,7 +369,8 @@ class JobService:
                 if req.kind == "workload":
                     payload, events = _run_workload(req)
                 else:
-                    payload, events = _run_kernel(req)
+                    payload, events = _run_kernel(req,
+                                                  self._kernel_code(req))
         self._merge(tel)
         self._finish(job, payload, events)
 
@@ -353,7 +380,7 @@ class JobService:
         with telemetry_session() as tel:
             with tel.span(SPAN_SERVE_JOB, job=jobs[0].id, kind="kernel",
                           tool=lead.tool, members=len(jobs)):
-                code = KernelCode.assemble(lead.kernel_name, lead.sass)
+                code = self._kernel_code(lead)
                 device = Device()
                 staged = [_stage(device, job.request) for job in jobs]
                 session = Session(_tool_for(lead), device=device,
@@ -458,9 +485,8 @@ def _run_workload(req: JobRequest):
     return payload, events
 
 
-def _run_kernel(req: JobRequest):
-    """One ad-hoc SASS job on a fresh device."""
-    code = KernelCode.assemble(req.kernel_name, req.sass)
+def _run_kernel(req: JobRequest, code: KernelCode):
+    """One ad-hoc SASS job, running ``code``, on a fresh device."""
     device = Device()
     params, reads = _stage(device, req)
     tool = _tool_for(req)

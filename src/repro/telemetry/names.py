@@ -61,6 +61,8 @@ __all__ = [
     "CTR_SERVE_CACHE_HIT",
     "CTR_SERVE_CACHE_MISS",
     "CTR_SERVE_BATCHES",
+    "CTR_SERVE_KERNELS_HIT",
+    "CTR_SERVE_KERNELS_MISS",
     "GAUGE_SERVE_QUEUE_DEPTH",
     "GAUGE_SERVE_INFLIGHT",
     "GAUGE_SWEEP_INFLIGHT",
@@ -168,6 +170,11 @@ CTR_SERVE_CACHE_HIT = "serve.cache.hit"
 CTR_SERVE_CACHE_MISS = "serve.cache.miss"
 #: Compatible queued kernel jobs stacked through Session.run_batch.
 CTR_SERVE_BATCHES = "serve.batches"
+#: Kernel-table accounting, one lookup per executed kernel pass: a hit
+#: reuses an assembled kernel (and its decode and Algorithm-1 memos)
+#: from an earlier job.
+CTR_SERVE_KERNELS_HIT = "serve.kernels.hit"
+CTR_SERVE_KERNELS_MISS = "serve.kernels.miss"
 
 # -- gauges ----------------------------------------------------------------
 
@@ -275,6 +282,10 @@ METRIC_DOCS: dict[str, tuple[str, str]] = {
                                       "computed"),
     CTR_SERVE_BATCHES: ("counter", "compatible kernel jobs stacked "
                                    "through run_batch"),
+    CTR_SERVE_KERNELS_HIT: ("counter", "executed kernel passes that "
+                                       "reused a kernel-table entry"),
+    CTR_SERVE_KERNELS_MISS: ("counter", "executed kernel passes that "
+                                        "assembled their kernel"),
     GAUGE_SERVE_QUEUE_DEPTH: ("gauge", "jobs waiting in the service "
                                        "queue"),
     GAUGE_SERVE_INFLIGHT: ("gauge", "jobs currently executing"),

@@ -1,6 +1,7 @@
 """The repro.serve job service: lifecycle, cache, backpressure,
-batching, shutdown, telemetry merge, size limits, bounded retention,
-and CLI-JSON byte-identity.
+read timeout, batching, the kernel table, request keys, shutdown,
+telemetry merge, size limits, bounded retention, and CLI-JSON
+byte-identity.
 
 Determinism lever used throughout: a :class:`JobService` accepts
 submissions from construction and only starts executing at
@@ -9,12 +10,17 @@ duplicates, overflow) before any execution happens.
 """
 
 import json
+import socket
+import threading
+import time
 import urllib.error
 import urllib.request
 
 import pytest
 
 from repro import cli
+from repro.sass.parser import SassSyntaxError
+from repro.sass.program import KernelCode
 from repro.serve import (
     MAX_OUTPUT_WORDS,
     MAX_THREADS,
@@ -27,6 +33,9 @@ from repro.serve import (
     ServiceClosed,
     parse_request,
 )
+from repro.serve import cache as serve_cache
+from repro.serve import http as serve_http
+from repro.serve import jobs as serve_jobs
 from repro.serve.service import _run_kernel
 from repro.telemetry import snapshot_registry, telemetry_session
 from repro.telemetry.names import (
@@ -37,6 +46,8 @@ from repro.telemetry.names import (
     CTR_SERVE_CACHE_MISS,
     CTR_SERVE_JOBS_COMPLETED,
     CTR_SERVE_JOBS_REJECTED,
+    CTR_SERVE_KERNELS_HIT,
+    CTR_SERVE_KERNELS_MISS,
 )
 
 INF32 = 0x7F800000
@@ -87,6 +98,19 @@ def _post(url, obj, timeout=30.0):
 def _counter(service, name):
     counter = service.telemetry.counters.get(name)
     return counter.value if counter is not None else 0
+
+
+def _staged(bodies):
+    """Submit ``bodies`` to a service before its executor starts, run
+    them all, and return the shut-down service and its jobs."""
+    service = JobService()
+    jobs = [service.submit(body) for body in bodies]
+    service.start()
+    try:
+        assert all(job.wait(60) for job in jobs)
+    finally:
+        service.shutdown()
+    return service, jobs
 
 
 class TestLifecycle:
@@ -223,6 +247,40 @@ class TestMalformed:
                 in json.loads(exc_info.value.read())["error"]
 
 
+class TestReadTimeout:
+    def test_stalled_body_closes_its_connection(self, monkeypatch):
+        monkeypatch.setattr(serve_http, "READ_TIMEOUT_S", 0.5)
+        start = threading.active_count()
+        service = JobService()  # never started: accepted jobs just queue
+        with ServeServer(service, port=0) as server:
+            idle = set(threading.enumerate())
+            with socket.create_connection(("127.0.0.1", server.port),
+                                          timeout=30.0) as sock:
+                # 11 of the 100 body bytes the header promises
+                sock.sendall(b"POST /v1/jobs HTTP/1.1\r\n"
+                             b"Host: test\r\n"
+                             b"Content-Type: application/json\r\n"
+                             b"Content-Length: 100\r\n\r\n"
+                             b'{"workload"')
+                t0 = time.monotonic()
+                # the server drops the connection without a response
+                assert sock.recv(1024) == b""
+                elapsed = time.monotonic() - t0
+            handlers = [t for t in threading.enumerate() if t not in idle]
+            for thread in handlers:
+                thread.join(timeout=5.0)
+            assert not [t for t in handlers if t.is_alive()]
+            assert elapsed < 10 * serve_http.READ_TIMEOUT_S
+            status, _ = _post(server.url + "/v1/jobs",
+                              kernel_job([ONE32] * 32))
+            assert status == 202
+        deadline = time.monotonic() + 5.0
+        while threading.active_count() > start \
+                and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert threading.active_count() <= start
+
+
 def sized_job(grid, block, count=32):
     job = kernel_job([ONE32] * 32)
     job["kernel"].update(grid_dim=grid, block_dim=block)
@@ -301,6 +359,147 @@ class TestBatching:
         assert json.dumps(b.report, sort_keys=True) \
             == json.dumps(solo.report, sort_keys=True)
         assert b.events == solo.events
+
+
+#: FADD then its inverse: a shadow plane sees the 1e-8 the FP32 path
+#: rounds away.
+CANCEL_SASS = """
+    S2R R0, SR_TID.X ;
+    IMAD R4, R0, 0x4, RZ ;
+    MOV R6, c[0x0][0x160] ;
+    IADD3 R6, R6, R4, RZ ;
+    LDG R8, [R6] ;
+    FADD R9, R8, 1.0 ;
+    FADD R9, R9, -1.0 ;
+    MOV R6, c[0x0][0x164] ;
+    IADD3 R6, R6, R4, RZ ;
+    STG R9, [R6] ;
+    EXIT ;
+"""
+TINY32 = 0x322BCC77  # 1e-8
+
+
+def _with(body, **changes):
+    body = json.loads(json.dumps(body))
+    body.update(changes)
+    return body
+
+
+#: Job sets a kernel-table hit must serve exactly as a fresh kernel.
+TABLE_CASES = {
+    "solo detector": [kernel_job([NAN32] * 32)],
+    "stacked batch": [kernel_job([INF32] * 32), kernel_job([NAN32] * 32)],
+    "analyzer": [_with(kernel_job([INF32] * 32), tool="analyzer")],
+    "shadow": [_with(kernel_job([TINY32] * 32, name="cancel"),
+                     options={"shadow": True})],
+}
+
+
+def _warm_up(body):
+    """A solo job on ``body``'s kernel with other inputs that builds
+    every memo a code object keeps (the shadow plane's slots too)."""
+    warm = _with(body, tool="detector",
+                 options={"megabatch": False, "shadow": True})
+    warm["inputs"][0]["bits"] = [ONE32 + 7] * 32
+    return warm
+
+
+class TestKernelTable:
+    def test_jobs_on_one_kernel_assemble_once(self, monkeypatch):
+        assembled = []
+        assemble = KernelCode.assemble
+
+        def counting(name, text, **kwargs):
+            assembled.append(name)
+            return assemble(name, text, **kwargs)
+        monkeypatch.setattr(KernelCode, "assemble", counting)
+        with JobService() as service:
+            for i in range(4):
+                job = service.submit(kernel_job([ONE32 + i] * 32))
+                assert job.wait(60) and job.status == "done"
+        assert assembled == ["k"]
+        assert _counter(service, CTR_SERVE_KERNELS_MISS) == 1
+        assert _counter(service, CTR_SERVE_KERNELS_HIT) == 3
+        assert len(service.kernels) == 1
+
+    def test_budget_evicts_the_least_recently_used(self, monkeypatch):
+        # room for two of the 13-instruction kernels, not three
+        monkeypatch.setattr(serve_cache, "KERNEL_BUDGET", 30)
+        with JobService() as service:
+            for i, name in enumerate("abacab"):
+                job = service.submit(kernel_job([ONE32 + i] * 32,
+                                                name=name))
+                assert job.wait(60) and job.status == "done"
+                assert service.kernels.instructions <= 30
+        # c evicted b, the least recently used, and kept a
+        assert _counter(service, CTR_SERVE_KERNELS_HIT) == 2
+        assert _counter(service, CTR_SERVE_KERNELS_MISS) == 4
+        assert len(service.kernels) == 2
+        assert service.kernels.instructions == 26
+
+    def test_kernel_past_the_budget_runs_uncached(self, monkeypatch):
+        monkeypatch.setattr(serve_cache, "KERNEL_BUDGET", 12)
+        with JobService() as service:
+            for bits in (INF32, ONE32):
+                job = service.submit(kernel_job([bits] * 32))
+                assert job.wait(60) and job.status == "done"
+        assert job.report["outputs"] == [[0x40000000] * 32]
+        assert len(service.kernels) == 0
+        assert service.kernels.instructions == 0
+        assert _counter(service, CTR_SERVE_KERNELS_MISS) == 2
+        assert _counter(service, CTR_SERVE_KERNELS_HIT) == 0
+
+    @pytest.mark.parametrize("case", sorted(TABLE_CASES))
+    def test_table_hit_equals_fresh_kernel(self, case):
+        bodies = TABLE_CASES[case]
+        warm, warm_jobs = _staged([_warm_up(bodies[0])] + bodies)
+        fresh, fresh_jobs = _staged(bodies)
+        assert [_counter(warm, CTR_SERVE_KERNELS_MISS),
+                _counter(warm, CTR_SERVE_KERNELS_HIT)] == [1, 1]
+        assert [_counter(fresh, CTR_SERVE_KERNELS_MISS),
+                _counter(fresh, CTR_SERVE_KERNELS_HIT)] == [1, 0]
+        assert _counter(warm, CTR_SERVE_BATCHES) \
+            == _counter(fresh, CTR_SERVE_BATCHES) \
+            == int(len(bodies) > 1)
+        for hit, cold in zip(warm_jobs[1:], fresh_jobs):
+            assert hit.status == cold.status == "done"
+            assert json.dumps([hit.report, hit.events], sort_keys=True) \
+                == json.dumps([cold.report, cold.events], sort_keys=True)
+
+    def test_sass_error_leaves_the_table_empty(self, caplog):
+        bad = "FADD R1, R2, R3 ;"
+        with pytest.raises(SassSyntaxError) as exc_info:
+            KernelCode.assemble("bad", bad)
+        bodies = [kernel_job([bits] * 32, name="bad")
+                  for bits in (ONE32, INF32)]
+        for body in bodies:
+            body["kernel"]["sass"] = bad
+        # the stacked pass fails, then each job fails on its own
+        service, jobs = _staged(bodies)
+        assert "stacked batch of 2 jobs failed" in caplog.text
+        for job in jobs:
+            assert job.status == "failed"
+            assert job.error == f"SassSyntaxError: {exc_info.value}"
+        assert len(service.kernels) == 0
+        assert service.kernels.instructions == 0
+        assert _counter(service, CTR_SERVE_KERNELS_MISS) == 3
+        assert _counter(service, CTR_SERVE_KERNELS_HIT) == 0
+
+
+class TestRequestKeys:
+    def test_each_digest_is_computed_once_across_takes(self,
+                                                       monkeypatch):
+        digests = []
+        digest = serve_jobs._digest
+        monkeypatch.setattr(serve_jobs, "_digest",
+                            lambda obj: digests.append(obj) or digest(obj))
+        # five kernels that never stack, then the first one's duplicate,
+        # which stays queued through every take
+        bodies = [kernel_job([ONE32] * 32, name=f"k{i}") for i in range(5)]
+        service, jobs = _staged(bodies + [bodies[0]])
+        # kernel fingerprint, plan fingerprint and input digest, once each
+        assert len(digests) == 3 * len(jobs)
+        assert _counter(service, CTR_SERVE_CACHE_HIT) == 1
 
 
 #: Copies its input to its output, unless the input is nonzero: then
@@ -404,8 +603,9 @@ class TestTelemetryMerge:
         with JobService() as service:
             job = service.submit(body)
             assert job.wait(60)
+        req = job.request
         with telemetry_session() as tel:
-            _run_kernel(job.request)
+            _run_kernel(req, KernelCode.assemble(req.kernel_name, req.sass))
             direct = snapshot_registry(tel)
         # every counter of the job reaches the service registry...
         for name, value in direct["counters"].items():
